@@ -1,7 +1,7 @@
 # Local targets mirror the CI job (.github/workflows/ci.yml) exactly, so
 # a green `make check` predicts a green required-checks run.
 
-.PHONY: build test race lint vet fuzz check bench
+.PHONY: build test race lint vet fuzz check bench benchdiff
 
 build:
 	go build ./...
@@ -34,9 +34,12 @@ fuzz:
 
 check: build vet lint race
 
-# The benchmark artifacts the CI bench job uploads.
+# The repository's one benchmark harness (BENCHMARK.json: workloads,
+# metrics, run_seconds) — end-to-end numbers plus the per-layer ledger.
+# The CI bench job runs the same command as a 3-second smoke.
 bench:
-	go run ./cmd/p2pserve -loadgen -peers 4 -shards 2 -clients 1,8,64 -requests 256 -repeat 0.9 -cache 1024 -json BENCH_serving.json
-	go run ./cmd/p2pserve -loadgen-cluster -protocol local -peers 4 -shards 2 -cluster-nodes 3 -requests 256 -json BENCH_cluster.json
-	go run ./cmd/simbench -peers 512 -shards 1,2,4,8 -reps 3 -json BENCH_simnet.json
-	go run ./cmd/tagbench -queries 400 -json BENCH_tagging.json
+	go run ./bench --workload all --seed 1 --seconds 18 --trace 0 -json bench.json
+
+# Before/after: make benchdiff A=before.json B=after.json
+benchdiff:
+	go run ./bench compare $(A) $(B)

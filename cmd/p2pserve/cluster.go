@@ -12,30 +12,18 @@
 // grows a "mesh" section with the per-peer transport counters (sends,
 // retries, failures, frames and bytes in/out, quarantine state) and the
 // installed generation.
-//
-// The cluster loadgen (-loadgen-cluster) benchmarks the whole composition
-// in-process: it stands up -cluster-nodes mesh-joined pools, measures
-// per-node throughput, publishes a generation mid-run, measures how long
-// the cluster takes to converge, verifies every node answers the
-// post-convergence workload byte-identically, and checks the serving
-// accounting identity (issued = served + cache hits + coalesced + deduped)
-// on every node.
 
 package main
 
 import (
-	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
-	"os"
 	"strings"
-	"sync"
 	"time"
-
-	"encoding/json"
 
 	doctagger "repro"
 	"repro/internal/realnet"
@@ -290,234 +278,4 @@ func (a *app) statsPayload() statsResponse {
 	a.genMu.Unlock()
 	resp.Mesh = ms
 	return resp
-}
-
-// ---------------------------------------------------------------------------
-// Cluster load generator
-
-// clusterNodeRun is one node's share of a cluster loadgen phase.
-type clusterNodeRun struct {
-	Node         int     `json:"node"`
-	Requests     int64   `json:"requests"`
-	Errors       int64   `json:"errors"`
-	RequestsPerS float64 `json:"rps"`
-	CacheHits    int64   `json:"cache_hits"`
-	IdentityOK   bool    `json:"identity_ok"`
-}
-
-// clusterPhase aggregates one workload phase across the cluster.
-type clusterPhase struct {
-	Phase   string           `json:"phase"`
-	Seconds float64          `json:"seconds"`
-	Nodes   []clusterNodeRun `json:"nodes"`
-}
-
-// runClusterLoadgen stands up an in-process cluster of mesh-joined serving
-// pools and benchmarks the composition end to end: per-node throughput on
-// the initial tagger generation, the wall-clock cost of gossiping and
-// installing a published model generation cluster-wide, per-node
-// throughput on the gossiped generation, byte-identical answers across
-// nodes afterwards, and the serving accounting identity per node.
-func runClusterLoadgen(o options, build func(int) (*doctagger.Tagger, error),
-	queries []string, trainTexts []realnet.TaggedText) error {
-	if o.clusterNodes < 2 {
-		return fmt.Errorf("cluster loadgen: %d nodes < 2", o.clusterNodes)
-	}
-	if len(queries) == 0 {
-		return errors.New("cluster loadgen: no test queries")
-	}
-	log.Printf("starting %d cluster nodes: %d shard(s) each, %s, %d peers ...",
-		o.clusterNodes, o.shards, o.protocol, o.peers)
-	apps := make([]*app, o.clusterNodes)
-	var seeds []string
-	for i := range apps {
-		pool, err := newPool(o, build)
-		if err != nil {
-			return err
-		}
-		a := &app{pool: pool, build: build, o: o, trainTexts: trainTexts}
-		cfg := realnet.Config{Seed: o.seed + int64(i), Seeds: seeds, GossipInterval: 200 * time.Millisecond}
-		if err := a.startMesh(cfg); err != nil {
-			pool.Close()
-			return err
-		}
-		apps[i] = a
-		seeds = []string{apps[0].mesh.Addr()}
-	}
-	defer func() {
-		for _, a := range apps {
-			a.draining.Store(true)
-			a.closeMesh()
-			a.pool.Close()
-		}
-	}()
-	if err := waitCluster(apps, 10*time.Second, func(a *app) bool {
-		return len(a.mesh.Peers()) >= o.clusterNodes-1
-	}); err != nil {
-		return fmt.Errorf("cluster loadgen: membership: %w", err)
-	}
-
-	phase1 := runClusterPhase("taggers", apps, newQueryMix(queries, o.repeat, o.clusterNodes), o.requests)
-
-	// Publish a generation on node 0 and time cluster-wide convergence:
-	// every node (publisher included) must install it through the swap
-	// path while the workload above has already warmed the pools.
-	set, err := apps[0].trainGeneration(nil)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	gen, sum, err := apps[0].mesh.PublishGeneration(set)
-	if err != nil {
-		return err
-	}
-	if err := apps[0].installGeneration(gen); err != nil {
-		return err
-	}
-	if err := waitCluster(apps, 10*time.Second, func(a *app) bool {
-		a.genMu.Lock()
-		defer a.genMu.Unlock()
-		return a.lastGen != nil && a.lastGen.Seq == gen.Seq
-	}); err != nil {
-		return fmt.Errorf("cluster loadgen: convergence: %w", err)
-	}
-	convergence := time.Since(start)
-	log.Printf("generation %d reached all %d nodes in %v (broadcast reached %d peers directly)",
-		gen.Seq, len(apps), convergence.Round(time.Millisecond), sum.Reached)
-
-	phase2 := runClusterPhase("gossiped-generation", apps, newQueryMix(queries, o.repeat, o.clusterNodes), o.requests)
-
-	// Cross-node byte-identity on the gossiped generation: every node must
-	// answer a probe set exactly alike.
-	identical := true
-	probes := queries[:min(16, len(queries))]
-	var reference []string
-	for i, a := range apps {
-		got := make([]string, len(probes))
-		for j, q := range probes {
-			tags, err := a.pool.Tag(context.Background(), q)
-			if err != nil {
-				return fmt.Errorf("cluster loadgen: probe on node %d: %w", i, err)
-			}
-			got[j] = fmt.Sprint(tags)
-		}
-		if i == 0 {
-			reference = got
-			continue
-		}
-		for j := range got {
-			if got[j] != reference[j] {
-				identical = false
-				log.Printf("node %d diverges on %q: %s vs %s", i, probes[j], got[j], reference[j])
-			}
-		}
-	}
-	if !identical {
-		return errors.New("cluster loadgen: nodes diverged on the gossiped generation")
-	}
-	log.Printf("all %d nodes answer the probe set identically", len(apps))
-
-	// Transport totals: what the gossip cost on the wire.
-	var framesOut, bytesOut, retries int64
-	for _, a := range apps {
-		tr := a.mesh.Transport()
-		for _, ps := range tr.Peers {
-			framesOut += ps.FramesOut
-			bytesOut += ps.BytesOut
-			retries += ps.Retries
-		}
-	}
-	log.Printf("transport: %d frames, %d bytes, %d retries across the cluster", framesOut, bytesOut, retries)
-
-	if o.jsonPath != "" {
-		payload := map[string]any{
-			"benchmark":      "p2pserve-cluster",
-			"nodes":          o.clusterNodes,
-			"shards":         o.shards,
-			"protocol":       o.protocol,
-			"peers":          o.peers,
-			"cache":          o.cache,
-			"repeat":         o.repeat,
-			"generation_seq": gen.Seq,
-			"convergence_ms": float64(convergence.Microseconds()) / 1000,
-			"identical":      identical,
-			"frames_out":     framesOut,
-			"bytes_out":      bytesOut,
-			"retries":        retries,
-			"phases":         []clusterPhase{phase1, phase2},
-		}
-		data, err := json.MarshalIndent(payload, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		log.Printf("wrote %s", o.jsonPath)
-	}
-	return nil
-}
-
-// runClusterPhase drives o.requests queries at every node concurrently
-// (one client per node) and reports per-node deltas, including whether the
-// serving accounting identity held against the client-side request count.
-func runClusterPhase(name string, apps []*app, mix queryMix, requests int) clusterPhase {
-	before := make([]doctagger.ServerStats, len(apps))
-	for i, a := range apps {
-		before[i] = a.pool.Stats()
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i, a := range apps {
-		wg.Add(1)
-		go func(i int, a *app) {
-			defer wg.Done()
-			for r := 0; r < requests; r++ {
-				_, _ = a.pool.Tag(context.Background(), mix.pick(i, r))
-			}
-		}(i, a)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	phase := clusterPhase{Phase: name, Seconds: elapsed.Seconds()}
-	for i, a := range apps {
-		after := a.pool.Stats()
-		run := clusterNodeRun{
-			Node:      i,
-			Requests:  after.Issued - before[i].Issued,
-			Errors:    after.Errors - before[i].Errors,
-			CacheHits: after.CacheHits - before[i].CacheHits,
-			// The identity: rows this phase's client asked for equal the
-			// node's issued delta, and the node-side breakdown adds up.
-			IdentityOK: after.Issued-before[i].Issued == int64(requests) &&
-				after.Issued == after.Served+after.CacheHits+after.Coalesced+after.Deduped,
-		}
-		if elapsed.Seconds() > 0 {
-			run.RequestsPerS = float64(run.Requests) / elapsed.Seconds()
-		}
-		phase.Nodes = append(phase.Nodes, run)
-		log.Printf("phase %-20s node %d: %8.0f req/s  hits %d  errors %d  identity=%v",
-			name, i, run.RequestsPerS, run.CacheHits, run.Errors, run.IdentityOK)
-	}
-	return phase
-}
-
-// waitCluster polls cond on every app until all hold or the deadline
-// passes.
-func waitCluster(apps []*app, timeout time.Duration, cond func(*app) bool) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		all := true
-		for _, a := range apps {
-			if !cond(a) {
-				all = false
-				break
-			}
-		}
-		if all {
-			return nil
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return errors.New("timeout")
 }

@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -331,55 +330,52 @@ func TestClusterChaos(t *testing.T) {
 	}
 }
 
-// TestClusterLoadgenWritesJSON runs the in-process cluster load generator
-// end to end and checks the artifact: both phases report full per-node
-// throughput with the accounting identity intact, and the cluster
-// converged on a byte-identical generation.
-func TestClusterLoadgenWritesJSON(t *testing.T) {
+// TestRefreshAfterGossipConflicts pins /v1/refresh on a node that serves a
+// gossiped generation: the pool is no longer tagger-backed, so there is
+// nothing to retrain — a conflict with the node's state (409), not a
+// server fault (regression: it answered 500). The refused refresh leaves
+// the pool serving the gossiped generation with its accounting intact.
+func TestRefreshAfterGossipConflicts(t *testing.T) {
 	o := clusterOptions()
-	o.loadgenCluster = true
-	o.clusterNodes = 3
-	o.requests = 64
-	o.jsonPath = t.TempDir() + "/bench.json"
 	build, queries, trainTexts, err := makeBuild(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runClusterLoadgen(o, build, queries, trainTexts); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(o.jsonPath)
+	na := startClusterNode(t, o, build, trainTexts, testMesh(1, nil))
+	defer na.stop()
+	nb := startClusterNode(t, o, build, trainTexts, testMesh(2, nil, na.a.mesh.Addr()))
+	defer nb.stop()
+	waitFor(t, "membership", func() bool { return len(na.a.mesh.Peers()) >= 1 })
+
+	resp, err := http.Post(na.ts.URL+"/v1/publish", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var payload struct {
-		Benchmark     string         `json:"benchmark"`
-		Nodes         int            `json:"nodes"`
-		ConvergenceMS float64        `json:"convergence_ms"`
-		Identical     bool           `json:"identical"`
-		FramesOut     int64          `json:"frames_out"`
-		Phases        []clusterPhase `json:"phases"`
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("publish: status %d", resp.StatusCode)
 	}
-	if err := json.Unmarshal(raw, &payload); err != nil {
-		t.Fatal(err)
+	waitFor(t, "receiver installed the gossiped generation", func() bool { return nb.installedSeq() == 1 })
+
+	before := nb.a.pool.Stats().Generation
+	refresh := postJSON(t, nb.ts.URL+"/v1/refresh", map[string]any{})
+	refresh.Body.Close()
+	if refresh.StatusCode != http.StatusConflict {
+		t.Errorf("refresh on a gossiped generation: status = %d, want 409", refresh.StatusCode)
 	}
-	if payload.Benchmark != "p2pserve-cluster" || payload.Nodes != 3 || !payload.Identical {
-		t.Fatalf("payload = %+v", payload)
+	if got := nb.a.pool.Stats().Generation; got != before {
+		t.Errorf("refused refresh moved the pool from generation %d to %d", before, got)
 	}
-	if payload.ConvergenceMS <= 0 || payload.FramesOut == 0 {
-		t.Errorf("convergence %.3fms over %d frames; want both positive", payload.ConvergenceMS, payload.FramesOut)
+	tags, err := nb.a.pool.Tag(t.Context(), queries[0])
+	if err != nil {
+		t.Fatalf("pool stopped serving after the refused refresh: %v", err)
 	}
-	if len(payload.Phases) != 2 {
-		t.Fatalf("phases = %+v", payload.Phases)
+	nb.issued.Add(1)
+	if len(tags) == 0 {
+		t.Error("no tags from the gossiped generation")
 	}
-	for _, ph := range payload.Phases {
-		if len(ph.Nodes) != 3 {
-			t.Fatalf("phase %s ran on %d nodes", ph.Phase, len(ph.Nodes))
-		}
-		for _, run := range ph.Nodes {
-			if run.Requests != 64 || run.Errors != 0 || !run.IdentityOK {
-				t.Errorf("phase %s node %d: %+v", ph.Phase, run.Node, run)
-			}
-		}
-	}
+	// The shard goroutine counts a batch after answering it; let the
+	// counters catch up with the reply before holding them to the identity.
+	waitFor(t, "receiver counters settled", func() bool { return nb.a.pool.Stats().Issued == nb.issued.Load() })
+	nb.checkIdentity(t, "receiver")
 }

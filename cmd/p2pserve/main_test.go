@@ -3,9 +3,9 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -25,7 +25,6 @@ func testOptions() options {
 		maxBatch: 8,
 		maxDelay: time.Millisecond,
 		cache:    64,
-		repeat:   0.9,
 	}
 }
 
@@ -246,8 +245,12 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var st doctagger.ServerStats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Shards != 2 || st.Served < 1 || st.Network.Messages == 0 {
@@ -255,6 +258,18 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if st.Generation != 1 {
 		t.Errorf("generation = %d, want 1", st.Generation)
+	}
+	// The wire shape is flat: ServerStats embeds the dispatcher's counters,
+	// and a round trip through the same type on both sides cannot see a
+	// nested object appear.
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"Served", "Issued", "Network"} {
+		if _, ok := raw[key]; !ok {
+			t.Errorf("/v1/stats has no top-level %q key: %s", key, body)
+		}
 	}
 }
 
@@ -273,68 +288,5 @@ func TestTagAfterCloseReturns503(t *testing.T) {
 	batchResp.Body.Close()
 	if batchResp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("batch status = %d, want 503", batchResp.StatusCode)
-	}
-}
-
-// TestLoadgenWritesJSON runs the in-process load generator at two small
-// concurrency levels — cache off and cache on — and checks the artifact,
-// including that caching sped up the repeated-query workload.
-func TestLoadgenWritesJSON(t *testing.T) {
-	o := testOptions()
-	o.loadgen = true
-	o.clients = "1,8"
-	o.requests = 64
-	o.cache = 256
-	o.jsonPath = t.TempDir() + "/bench.json"
-	build, queries, _, err := makeBuild(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := runLoadgen(o, build, queries); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(o.jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var payload struct {
-		Benchmark string       `json:"benchmark"`
-		Runs      []loadgenRun `json:"runs"`
-		Speedups  []speedup    `json:"speedups"`
-	}
-	if err := json.Unmarshal(raw, &payload); err != nil {
-		t.Fatal(err)
-	}
-	if payload.Benchmark != "p2pserve-loadgen" || len(payload.Runs) != 4 {
-		t.Fatalf("payload = %+v", payload)
-	}
-	for _, r := range payload.Runs {
-		if r.Requests != 64 || r.RequestsPerS <= 0 || r.Errors != 0 {
-			t.Errorf("run = %+v", r)
-		}
-		if r.CacheSize == 0 && r.CacheHits != 0 {
-			t.Errorf("cache-off run reported hits: %+v", r)
-		}
-	}
-	// The cache-on runs must actually hit.
-	var hits int64
-	for _, r := range payload.Runs {
-		hits += r.CacheHits
-	}
-	if hits == 0 {
-		t.Error("cache-on runs recorded no hits")
-	}
-	// The 8-client cache-off run must show real coalescing.
-	if payload.Runs[1].MeanBatchSize <= 1 {
-		t.Errorf("8 clients uncached: mean batch %.2f, want > 1", payload.Runs[1].MeanBatchSize)
-	}
-	if len(payload.Speedups) != 2 {
-		t.Fatalf("speedups = %+v", payload.Speedups)
-	}
-	// At 8 clients with a 90% hot-set workload the cached pool should be
-	// several times faster; assert a conservative floor to keep the test
-	// robust on slow single-core CI machines.
-	if s := payload.Speedups[1]; s.Speedup < 2 {
-		t.Errorf("8-client cache speedup = %.2fx, want >= 2x", s.Speedup)
 	}
 }

@@ -80,9 +80,8 @@
 // via runner.DeriveSeed(seed, nodeID). The knob threads through every
 // layer: doctagger.Config.Shards, p2pdmt.Config.Shards,
 // experiments.Scale.Shards, "cmd/experiments -shards" and
-// "cmd/p2pdmt -shards"; cmd/simbench measures the wall-clock scaling and
-// verifies the checksums agree (BenchmarkSimnetShards is the in-tree
-// equivalent).
+// "cmd/p2pdmt -shards"; BenchmarkSimnetShards (internal/simnet) measures
+// the wall-clock scaling and verifies the checksums agree.
 //
 // # Serving
 //
@@ -157,8 +156,7 @@
 // the cluster chaos test (cmd/p2pserve/cluster_test.go) pins the
 // acceptance story — a node killed and restarted and a partition healed
 // while every query keeps answering byte-identically to a serial
-// reference with zero dropped requests. "-loadgen-cluster" benchmarks the
-// composition in-process and writes BENCH_cluster.json.
+// reference with zero dropped requests.
 //
 // # Adversarial resilience
 //
@@ -176,8 +174,8 @@
 // for a seed-jittered window (runner.DeriveSeed per origin), after which
 // the next generation it gossips is re-probed; accepted generations
 // rebuild score. Only trust-admitted generations install, relay, or reach
-// the serving swap — and trust scores multiply into the Ensemble vote
-// (NewWeightedEnsemble), with full trust exactly bit-invisible so the
+// the serving swap — and trust scores multiply into the Node.Suggest
+// ensemble vote, with full trust exactly bit-invisible so the
 // byte-determinism pins hold. Stale (sequence, origin) echoes are normal
 // gossip traffic, deduplicated without charging trust.
 //
@@ -217,8 +215,7 @@
 // implementation it replaced — reference copies of the seed tokenizer,
 // vectorizer and kernel evaluation live in the tests and must agree on
 // exact float64 bit patterns — so the fast path changes latency, never
-// answers. cmd/tagbench measures the trajectory (docs/sec, p50/p99,
-// allocs/op, fused-vs-per-tag scoring) and writes BENCH_tagging.json.
+// answers.
 //
 // # Streaming execution
 //

@@ -319,9 +319,9 @@ func TestAdversaryDeterministic(t *testing.T) {
 }
 
 // TestWeightedEnsembleIdentity pins the bit-invisibility contract trust
-// weighting relies on: a weighted ensemble at full trust answers
-// byte-identically to the unweighted one, a zero weight silences its set
-// exactly, and malformed weights are refused.
+// weighting relies on, at the vote both Node.Suggest and Ensemble share:
+// weights at full trust answer byte-identically to the unweighted vote,
+// and a zero weight silences its set exactly.
 func TestWeightedEnsembleIdentity(t *testing.T) {
 	set0, err := TrainModelSet(trainingTexts(0), 1, 1)
 	if err != nil {
@@ -336,41 +336,19 @@ func TestWeightedEnsembleIdentity(t *testing.T) {
 		"flight hotel passport beach island",
 		"recipe oven butter garlic sauce",
 	}
-
-	plain, err := NewEnsemble(0.5, 4, set0, set1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := NewWeightedEnsemble(0.5, 4, []float64{1, 1}, set0, set1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solo, err := NewEnsemble(0.5, 4, set0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	silenced, err := NewWeightedEnsemble(0.5, 4, []float64{1, 0}, set0, set1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pre := newHashedPreprocessor()
+	both, solo := []*ModelSet{set0, set1}, []*ModelSet{set0}
 	for _, text := range texts {
-		if want, got := plain.Suggest(text), full.Suggest(text); !reflect.DeepEqual(want, got) {
-			t.Errorf("full-trust weights perturbed %q: %v vs %v", text, got, want)
+		entries := pre.Vectorize(text).Entries()
+		plain, _ := suggestFromSets(entries, both, nil, nil)
+		full, _ := suggestFromSets(entries, both, []float64{1, 1}, nil)
+		if !reflect.DeepEqual(plain, full) {
+			t.Errorf("full-trust weights perturbed %q: %v vs %v", text, full, plain)
 		}
-		if want, got := solo.Suggest(text), silenced.Suggest(text); !reflect.DeepEqual(want, got) {
-			t.Errorf("zero weight did not silence its set for %q: %v vs %v", text, got, want)
+		alone, _ := suggestFromSets(entries, solo, nil, nil)
+		silenced, _ := suggestFromSets(entries, both, []float64{1, 0}, nil)
+		if !reflect.DeepEqual(alone, silenced) {
+			t.Errorf("zero weight did not silence its set for %q: %v vs %v", text, silenced, alone)
 		}
-	}
-
-	if _, err := NewWeightedEnsemble(0.5, 4, []float64{1}, set0, set1); err == nil {
-		t.Error("length-mismatched weights accepted")
-	}
-	if _, err := NewWeightedEnsemble(0.5, 4, []float64{1, -0.5}, set0, set1); err == nil {
-		t.Error("negative weight accepted")
-	}
-	nan := 0.0
-	nan /= nan
-	if _, err := NewWeightedEnsemble(0.5, 4, []float64{1, nan}, set0, set1); err == nil {
-		t.Error("NaN weight accepted")
 	}
 }

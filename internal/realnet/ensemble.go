@@ -24,7 +24,6 @@ import (
 type Ensemble struct {
 	pre       *textproc.Preprocessor
 	sets      []*ModelSet
-	weights   []float64 // per-set trust multipliers; nil = all fully trusted
 	threshold float64
 	maxTags   int
 	dec       []float64           // fused-score scratch, reused across documents
@@ -34,20 +33,8 @@ type Ensemble struct {
 // NewEnsemble builds an engine over sets, assigning every tag scoring at
 // or above threshold (falling back to the single best; 0 accepts every
 // tag) and capping answers at maxTags (0 = unlimited). The sets must not
-// be mutated afterwards. Every set is fully trusted; use
-// NewWeightedEnsemble to scale sets by a trust ledger's scores.
+// be mutated afterwards. Every set votes at full trust.
 func NewEnsemble(threshold float64, maxTags int, sets ...*ModelSet) (*Ensemble, error) {
-	return NewWeightedEnsemble(threshold, maxTags, nil, sets...)
-}
-
-// NewWeightedEnsemble is NewEnsemble with one trust multiplier per set:
-// each set's contribution to the accuracy-over-chance vote is scaled by
-// its weight, which is how a trust ledger's per-origin scores reach the
-// serving path. nil weights means every set is fully trusted — and a
-// weight of exactly 1.0 is bit-invisible, so a fully trusted weighted
-// ensemble answers byte-identically to the unweighted one. A weight of 0
-// silences its set entirely; negative or non-finite weights are refused.
-func NewWeightedEnsemble(threshold float64, maxTags int, weights []float64, sets ...*ModelSet) (*Ensemble, error) {
 	if len(sets) == 0 {
 		return nil, errors.New("realnet: an ensemble needs at least one model set")
 	}
@@ -55,17 +42,6 @@ func NewWeightedEnsemble(threshold float64, maxTags int, weights []float64, sets
 		if ms == nil || ms.ensureFused() == nil {
 			return nil, errors.New("realnet: ensemble over an empty model set")
 		}
-	}
-	if weights != nil {
-		if len(weights) != len(sets) {
-			return nil, errors.New("realnet: ensemble weights must match sets one to one")
-		}
-		for _, w := range weights {
-			if !finite(w) || w < 0 {
-				return nil, errors.New("realnet: ensemble weights must be finite and non-negative")
-			}
-		}
-		weights = append([]float64(nil), weights...)
 	}
 	if threshold < 0 || threshold > 1 {
 		return nil, errors.New("realnet: ensemble threshold outside [0,1]")
@@ -76,7 +52,6 @@ func NewWeightedEnsemble(threshold float64, maxTags int, weights []float64, sets
 	return &Ensemble{
 		pre:       newHashedPreprocessor(),
 		sets:      sets,
-		weights:   weights,
 		threshold: threshold,
 		maxTags:   maxTags,
 	}, nil
@@ -89,7 +64,7 @@ func NewWeightedEnsemble(threshold float64, maxTags int, weights []float64, sets
 func (e *Ensemble) Suggest(text string) []metrics.ScoredTag {
 	var out []metrics.ScoredTag
 	e.pre.VectorizeInto(text, func(entries []vector.Entry) {
-		out, e.dec = suggestFromSets(entries, e.sets, e.weights, e.dec)
+		out, e.dec = suggestFromSets(entries, e.sets, nil, e.dec)
 	})
 	return out
 }
@@ -104,7 +79,7 @@ func (e *Ensemble) AutoTagBatch(texts []string) ([][]string, error) {
 	for i, text := range texts {
 		var scores []metrics.ScoredTag
 		e.pre.VectorizeInto(text, func(entries []vector.Entry) {
-			scores, e.dec = suggestFromSets(entries, e.sets, e.weights, e.dec)
+			scores, e.dec = suggestFromSets(entries, e.sets, nil, e.dec)
 		})
 		var tags []string
 		tags, e.sel = protocol.SelectTagsInto(nil, scores, e.sel, e.threshold, e.maxTags)

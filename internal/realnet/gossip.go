@@ -84,7 +84,7 @@ func (n *Node) CurrentGeneration() (Generation, bool) {
 // onGeneration handles one gossiped generation frame through the full
 // Byzantine admission pipeline: size budget, decode + content digest,
 // origin validity, dedup by (Seq, Origin) — a stale echo is normal gossip
-// traffic, never a trust event — then trust admission, structural
+// traffic, never a trust event — then admit: trust admission, structural
 // validation, and the holdout probe. Only an admitted generation touches
 // the peer tables, gets relayed, or reaches the application callback; a
 // rejected one demotes and quarantines its origin.
@@ -111,20 +111,9 @@ func (n *Node) onGeneration(payload []byte) {
 	if stale {
 		return
 	}
-	now := time.Now()
-	if !n.trust.admitted(g.Origin, now) {
-		n.tr.noteReject(g.Origin)
+	if !n.admit(g.Origin, g.Set, time.Now()) {
 		return
 	}
-	if err := validateModelSet(g.Set, n.cfg.MaxSetTags, n.cfg.MaxModelDim); err != nil {
-		n.rejectOrigin(g.Origin, now)
-		return
-	}
-	if len(n.probe) > 0 && n.probeAccuracy(g.Set) < n.cfg.ProbeFloor {
-		n.rejectOrigin(g.Origin, now)
-		return
-	}
-	n.trust.accept(g.Origin, now)
 	n.mu.Lock()
 	// Re-check the order: another admitted generation may have raced past
 	// while this one was being validated and probed.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -174,6 +175,97 @@ func TestSpoofedSenderRejected(t *testing.T) {
 				t.Errorf("spoofed sender %q entered the peer table", p)
 			}
 		}
+	}
+}
+
+// TestSizeBudgetBeforeDecode pins the first admission stage for both
+// set-carrying frame types: a payload over MaxGenBytes is refused before
+// the decoder runs — so even a perfectly honest oversize set is counted
+// corrupt, charges no origin, and installs nothing (regression: per-peer
+// model frames skipped the budget and were decoded up to maxFrame) — while
+// in-budget frames on the same connection are still admitted afterwards.
+func TestSizeBudgetBeforeDecode(t *testing.T) {
+	small, err := TrainModelSet(trainingTexts(0), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := TrainModelSet(append(append(trainingTexts(0), trainingTexts(1)...), trainingTexts(2)...), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bigGenOrigin, bigSender = "10.6.0.1:7000", "10.6.0.2:7000"
+	const okSender, okGenOrigin = "10.6.0.3:7000", "10.6.0.4:7000"
+	bigGen, err := encodeGeneration(Generation{Seq: 9, Origin: bigGenOrigin, Set: big})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigModels, err := encodeModelSet(bigSender, big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	okModels, err := encodeModelSet(okSender, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	okGen, err := encodeGeneration(Generation{Seq: 1, Origin: okGenOrigin, Set: small})
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := max(len(okModels), len(okGen))
+	if len(bigGen) <= budget || len(bigModels) <= budget {
+		t.Fatalf("fixture: oversize frames (%d, %d bytes) fit the %d-byte budget", len(bigGen), len(bigModels), budget)
+	}
+	nd, err := Start(Config{Seed: 1, Dial: failDial, MaxAttempts: 1, MaxGenBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+
+	// A connection processes its frames in order, so once the trailing
+	// hello's peer shows up both oversize frames have been dealt with.
+	conn := rawDial(t, nd)
+	for _, f := range []struct {
+		typ     byte
+		payload []byte
+	}{
+		{frameGen, bigGen},
+		{frameModels, bigModels},
+		{frameHello, encodeHello([]string{"10.6.0.9:7000"})},
+	} {
+		if err := writeFrame(conn, f.typ, f.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "hello after the oversize frames processed", func() bool {
+		return slices.Contains(nd.Peers(), "10.6.0.9:7000")
+	})
+	if got := nd.Transport().CorruptFrames; got != 2 {
+		t.Errorf("CorruptFrames = %d, want both oversize frames counted", got)
+	}
+	if cur, ok := nd.CurrentGeneration(); ok {
+		t.Errorf("oversize generation (%d, %s) installed", cur.Seq, cur.Origin)
+	}
+	if got := nd.ModelsKnown(); got != 0 {
+		t.Errorf("ModelsKnown = %d after an oversize model frame, want 0", got)
+	}
+	for _, origin := range []string{bigGenOrigin, bigSender} {
+		if o, seen := nd.Trust().Origins[origin]; seen {
+			t.Errorf("oversize frame reached the trust ledger for %s: %+v", origin, o)
+		}
+	}
+
+	if err := writeFrame(conn, frameModels, okModels); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(conn, frameGen, okGen); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "in-budget frames admitted", func() bool {
+		cur, ok := nd.CurrentGeneration()
+		return nd.ModelsKnown() == 1 && ok && cur.Seq == 1 && cur.Origin == okGenOrigin
+	})
+	if got := nd.Transport().CorruptFrames; got != 2 {
+		t.Errorf("CorruptFrames = %d after in-budget frames, want still 2", got)
 	}
 }
 

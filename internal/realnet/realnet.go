@@ -116,9 +116,10 @@ type Config struct {
 
 	// MaxSetTags and MaxModelDim bound the structure of an inbound model
 	// set (tag count and per-model dense dimension); MaxGenBytes bounds
-	// the encoded size of an inbound generation frame. Together with the
-	// finite-weight scan they are the structural half of the Byzantine
-	// admission pipeline. Defaults 4096 tags, 1<<22 dims, 32 MiB.
+	// the encoded size of an inbound generation or per-peer model frame.
+	// Together with the finite-weight scan they are the structural half
+	// of the Byzantine admission pipeline. Defaults 4096 tags, 1<<22
+	// dims, 32 MiB.
 	MaxSetTags  int
 	MaxModelDim int
 	MaxGenBytes int
@@ -805,6 +806,11 @@ func (n *Node) onHello(payload []byte) {
 }
 
 func (n *Node) onModels(payload []byte) {
+	// Same wire-size budget as a generation frame, before the decoder runs.
+	if len(payload) > n.cfg.MaxGenBytes {
+		n.tr.noteCorrupt()
+		return
+	}
 	sender, ms, err := decodeModelSet(payload)
 	if err != nil {
 		n.tr.noteCorrupt()
@@ -817,25 +823,11 @@ func (n *Node) onModels(payload []byte) {
 		n.tr.noteCorrupt()
 		return
 	}
-	// Peer broadcasts pass the same admission pipeline as generations: a
-	// quarantined sender is refused outright, a structurally poisoned set
-	// demotes and quarantines its sender, and a probe failure (when a
-	// holdout set is configured) does the same — so a poisoned set never
-	// enters the remote table the Suggest vote reads.
-	now := time.Now()
-	if !n.trust.admitted(sender, now) {
-		n.tr.noteReject(sender)
+	// Peer broadcasts pass the same admission as generations, so a
+	// poisoned set never enters the remote table the Suggest vote reads.
+	if !n.admit(sender, ms, time.Now()) {
 		return
 	}
-	if err := validateModelSet(ms, n.cfg.MaxSetTags, n.cfg.MaxModelDim); err != nil {
-		n.rejectOrigin(sender, now)
-		return
-	}
-	if len(n.probe) > 0 && n.probeAccuracy(ms) < n.cfg.ProbeFloor {
-		n.rejectOrigin(sender, now)
-		return
-	}
-	n.trust.accept(sender, now)
 	n.mu.Lock()
 	if _, known := n.remote[sender]; !known && len(n.remote) >= n.cfg.MaxPeers {
 		n.mu.Unlock()
@@ -847,6 +839,26 @@ func (n *Node) onModels(payload []byte) {
 	}
 	n.mu.Unlock()
 	n.tr.creditIn(sender, len(payload))
+}
+
+// admit is the trust half of the admission pipeline, shared by per-peer
+// model frames and gossiped generations; the caller has already applied
+// the size budget, decoded the frame and vetted the origin address. A
+// quarantined origin is refused outright; a structurally invalid set, or
+// one scoring under ProbeFloor on the holdout probe (when configured),
+// demotes and quarantines its origin; anything else is credited to it.
+func (n *Node) admit(origin string, set *ModelSet, now time.Time) bool {
+	if !n.trust.admitted(origin, now) {
+		n.tr.noteReject(origin)
+		return false
+	}
+	if validateModelSet(set, n.cfg.MaxSetTags, n.cfg.MaxModelDim) != nil ||
+		(len(n.probe) > 0 && n.probeAccuracy(set) < n.cfg.ProbeFloor) {
+		n.rejectOrigin(origin, now)
+		return false
+	}
+	n.trust.accept(origin, now)
+	return true
 }
 
 // rejectOrigin records one failed admission: the origin's trust halves

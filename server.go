@@ -5,35 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/serving"
 )
 
-// ServerConfig tunes the concurrent serving front-end. The zero value
-// batches up to 32 documents, waits at most 2ms for a batch to fill,
-// bounds the queue at 8*MaxBatch, and disables the result cache.
-type ServerConfig struct {
-	// MaxBatch flushes a batch at this many coalesced requests;
-	// default 32.
-	MaxBatch int
-	// MaxDelay flushes a batch this long after its first request even if
-	// it is smaller than MaxBatch; default 2ms.
-	MaxDelay time.Duration
-	// MaxQueue bounds the submission queue — backpressure instead of
-	// unbounded memory; default 8*MaxBatch.
-	MaxQueue int
-	// FailFast rejects submissions with ErrOverloaded when the queue is
-	// full instead of blocking callers.
-	FailFast bool
-	// CacheSize bounds the request-level result cache; 0 disables it.
-	// Repeated queries for identical text are answered from a sharded LRU
-	// without re-entering the swarm — sound because queries never feed
-	// back into the models. The cache flushes whenever Swap or Refresh
-	// installs a new tagger generation, so a cached answer never outlives
-	// the models that produced it.
-	CacheSize int
-}
+// ServerConfig tunes the concurrent serving front-end: MaxBatch, MaxDelay,
+// MaxQueue, FailFast and CacheSize, documented on the aliased type. The
+// zero value batches up to 32 documents, waits at most 2ms for a batch to
+// fill, bounds the queue at 8*MaxBatch, and disables the result cache.
+// The cache is sound because queries never feed back into the models, and
+// it flushes whenever Swap, SwapEngines or Refresh installs a new
+// generation, so a cached answer never outlives the models that produced
+// it.
+type ServerConfig = serving.Config
 
 // Engine is the batch classification back-end a Server shards over: one
 // tag list per input text in input order; rows the engine cannot answer
@@ -44,9 +28,7 @@ type ServerConfig struct {
 // (for example an ensemble over gossiped model sets), which is how a
 // distributed cluster installs model generations that did not come from a
 // local Tagger.
-type Engine interface {
-	AutoTagBatch(texts []string) ([][]string, error)
-}
+type Engine = serving.Engine
 
 // Serving errors, re-exported so callers need not import internal
 // packages.
@@ -55,51 +37,25 @@ var (
 	ErrServerClosed = serving.ErrClosed
 	// ErrOverloaded is returned in fail-fast mode when the queue is full.
 	ErrOverloaded = serving.ErrOverloaded
+	// ErrNotTaggerBacked is returned by Server.Refresh when the serving
+	// generation came from NewEngineServer or SwapEngines (a gossiped model
+	// generation, say): there are no local taggers to rebuild. A state
+	// conflict, not a fault — install the next generation with Swap or
+	// SwapEngines instead.
+	ErrNotTaggerBacked = errors.New("doctagger: current generation is not tagger-backed; use Swap or SwapEngines")
 )
 
 // BatchBucket is one bin of the batch-size histogram: Count batches had a
 // size <= Le (and above the previous bucket's bound); Le 0 means
 // unbounded.
-type BatchBucket struct {
-	Le    int
-	Count int64
-}
+type BatchBucket = serving.BatchBucket
 
-// ServerStats snapshots a Server's counters: request/batch accounting from
-// the dispatcher, cache performance, the model generation, plus the
+// ServerStats snapshots a Server's counters: the dispatcher's request,
+// batch, queue-wait and cache accounting (the embedded serving.Stats, whose
+// fields promote — st.Served, st.Issued, ... — and marshal flat), plus the
 // simulated swarms' aggregate traffic.
 type ServerStats struct {
-	// Shards is the tagger pool size of the current generation.
-	Shards int
-	// Generation counts tagger pools installed so far: 1 at NewServer,
-	// +1 per successful Swap/Refresh.
-	Generation int64
-	// Requests counts accepted submissions; Served counts completed ones
-	// (failures included); Errors counts requests answered with an error;
-	// Rejected counts fail-fast rejections; Deduped counts TagBatch rows
-	// answered by intra-batch deduplication; Coalesced counts Tag calls
-	// answered by single-flight dedup of concurrent identical misses
-	// (rows issued = Served + CacheHits + Coalesced + Deduped).
-	Requests, Served, Errors, Rejected, Deduped, Coalesced int64
-	// Issued is the total number of answer rows handed to callers, however
-	// produced: Issued = Served + CacheHits + Coalesced + Deduped, the
-	// serving accounting identity. Clients that count the rows they asked
-	// for can check it against any node's snapshot.
-	Issued int64
-	// Batches counts AutoTagBatch invocations, BatchedDocs sums their
-	// sizes; MeanBatchSize is their ratio and MaxBatchSeen the largest
-	// batch dispatched.
-	Batches, BatchedDocs int64
-	MeanBatchSize        float64
-	MaxBatchSeen         int
-	// BatchSizeHist bins batch sizes into power-of-two buckets.
-	BatchSizeHist []BatchBucket
-	// QueueWait* aggregate time spent between submission and the start of
-	// the batch's engine call.
-	QueueWaitTotal, QueueWaitMax, MeanQueueWait time.Duration
-	// Cache counters; all zero when ServerConfig.CacheSize is 0.
-	CacheHits, CacheMisses, CacheEvictions int64
-	CacheEntries, CacheCapacity            int
+	serving.Stats
 	// Network aggregates the simulated traffic every shard's swarm
 	// generated while serving under this Server, retired generations
 	// included (traffic from before a generation's install — training,
@@ -163,13 +119,13 @@ func NewServer(cfg ServerConfig, taggers ...*Tagger) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	inner, err := serving.New(servingConfig(cfg), engines...)
+	inner, err := serving.New(cfg, engines...)
 	if err != nil {
 		return nil, err
 	}
 	return &Server{
 		inner:     inner,
-		engines:   taggerEngines(taggers),
+		engines:   engines,
 		taggers:   append([]*Tagger(nil), taggers...),
 		baselines: installBaselines(taggers),
 	}, nil
@@ -184,11 +140,10 @@ func NewServer(cfg ServerConfig, taggers ...*Tagger) (*Server, error) {
 // those of a tagger-backed Server; only the Network traffic aggregation is
 // absent, since generic engines have no simulated swarm behind them.
 func NewEngineServer(cfg ServerConfig, engines ...Engine) (*Server, error) {
-	adapted, err := genericEngines(engines)
-	if err != nil {
+	if err := genericEngines(engines); err != nil {
 		return nil, err
 	}
-	inner, err := serving.New(servingConfig(cfg), adapted...)
+	inner, err := serving.New(cfg, engines...)
 	if err != nil {
 		return nil, err
 	}
@@ -198,44 +153,23 @@ func NewEngineServer(cfg ServerConfig, engines ...Engine) (*Server, error) {
 	}, nil
 }
 
-func servingConfig(cfg ServerConfig) serving.Config {
-	return serving.Config{
-		MaxBatch:  cfg.MaxBatch,
-		MaxDelay:  cfg.MaxDelay,
-		MaxQueue:  cfg.MaxQueue,
-		FailFast:  cfg.FailFast,
-		CacheSize: cfg.CacheSize,
-	}
-}
-
-// taggerEngines views a tagger pool as its engine slice.
-func taggerEngines(taggers []*Tagger) []Engine {
-	engines := make([]Engine, len(taggers))
-	for i, tg := range taggers {
-		engines[i] = tg
-	}
-	return engines
-}
-
-// genericEngines validates an engine generation — non-empty, non-nil,
-// distinct — and adapts it to the serving layer.
-func genericEngines(engines []Engine) ([]serving.Engine, error) {
+// genericEngines validates an engine generation: non-empty, non-nil,
+// distinct.
+func genericEngines(engines []Engine) error {
 	if len(engines) == 0 {
-		return nil, errors.New("doctagger: a server pool needs at least one engine")
+		return errors.New("doctagger: a server pool needs at least one engine")
 	}
-	adapted := make([]serving.Engine, len(engines))
 	seen := make(map[Engine]bool, len(engines))
 	for i, e := range engines {
 		if e == nil {
-			return nil, fmt.Errorf("doctagger: shard %d is nil", i)
+			return fmt.Errorf("doctagger: shard %d is nil", i)
 		}
 		if seen[e] {
-			return nil, fmt.Errorf("doctagger: shard %d reuses another shard's engine", i)
+			return fmt.Errorf("doctagger: shard %d reuses another shard's engine", i)
 		}
 		seen[e] = true
-		adapted[i] = e
 	}
-	return adapted, nil
+	return nil
 }
 
 // installBaselines snapshots each tagger's cumulative traffic at install
@@ -249,12 +183,12 @@ func installBaselines(taggers []*Tagger) []NetworkStats {
 }
 
 // poolEngines validates a tagger generation — non-empty, non-nil,
-// distinct, trained — and adapts it to the serving layer.
-func poolEngines(taggers []*Tagger) ([]serving.Engine, error) {
+// distinct, trained — and views it as its engine slice.
+func poolEngines(taggers []*Tagger) ([]Engine, error) {
 	if len(taggers) == 0 {
 		return nil, errors.New("doctagger: a server pool needs at least one tagger")
 	}
-	engines := make([]serving.Engine, len(taggers))
+	engines := make([]Engine, len(taggers))
 	seen := make(map[*Tagger]bool, len(taggers))
 	for i, tg := range taggers {
 		if tg == nil {
@@ -340,7 +274,7 @@ func (s *Server) swapLocked(taggers []*Tagger) ([]*Tagger, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.checkNotServing(taggerEngines(taggers)); err != nil {
+	if err := s.checkNotServing(engines); err != nil {
 		return nil, err
 	}
 	// Snapshot the incoming generation's baselines before it can serve a
@@ -354,7 +288,7 @@ func (s *Server) swapLocked(taggers []*Tagger) ([]*Tagger, error) {
 	s.mu.Lock()
 	old := s.taggers
 	s.retireLocked()
-	s.engines = taggerEngines(taggers)
+	s.engines = engines
 	s.taggers = append([]*Tagger(nil), taggers...)
 	s.baselines = newBaselines
 	s.mu.Unlock()
@@ -373,15 +307,14 @@ func (s *Server) swapLocked(taggers []*Tagger) ([]*Tagger, error) {
 func (s *Server) SwapEngines(engines ...Engine) error {
 	s.refreshMu.Lock()
 	defer s.refreshMu.Unlock()
-	adapted, err := genericEngines(engines)
-	if err != nil {
+	if err := genericEngines(engines); err != nil {
 		return err
 	}
 	if err := s.checkNotServing(engines); err != nil {
 		return err
 	}
 	//dmtvet:allow lockdiscipline refreshMu serializes generation changes; its critical section is the drain itself, and request paths never take it
-	if err := s.inner.Swap(adapted...); err != nil {
+	if err := s.inner.Swap(engines...); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -432,7 +365,8 @@ func (s *Server) retireLocked() {
 // the lock frees (back-to-back installs, not wasted parallel ones).
 // Refresh reports the generation number it installed — read it from the
 // return value, not a later Stats snapshot, which a queued refresh may
-// already have advanced.
+// already have advanced. A pool serving a generic engine generation has no
+// taggers to rebuild: Refresh returns ErrNotTaggerBacked.
 func (s *Server) Refresh(build func(shard int) (*Tagger, error)) (int64, error) {
 	s.refreshMu.Lock()
 	defer s.refreshMu.Unlock()
@@ -440,7 +374,7 @@ func (s *Server) Refresh(build func(shard int) (*Tagger, error)) (int64, error) 
 	shards := len(s.taggers)
 	s.mu.Unlock()
 	if shards == 0 {
-		return 0, errors.New("doctagger: current generation is not tagger-backed; use Swap or SwapEngines")
+		return 0, ErrNotTaggerBacked
 	}
 	taggers, err := buildGeneration(shards, build)
 	if err != nil {
@@ -459,34 +393,7 @@ func (s *Server) Refresh(build func(shard int) (*Tagger, error)) (int64, error) 
 // traffic the shards' swarms generated while serving (retired generations
 // included). Safe to call while the server is running.
 func (s *Server) Stats() ServerStats {
-	st := s.inner.Stats()
-	out := ServerStats{
-		Shards:         st.Shards,
-		Generation:     st.Generation,
-		Requests:       st.Requests,
-		Served:         st.Served,
-		Errors:         st.Errors,
-		Rejected:       st.Rejected,
-		Deduped:        st.Deduped,
-		Coalesced:      st.Coalesced,
-		Issued:         st.Issued,
-		Batches:        st.Batches,
-		BatchedDocs:    st.BatchedDocs,
-		MeanBatchSize:  st.MeanBatchSize,
-		MaxBatchSeen:   st.MaxBatchSeen,
-		QueueWaitTotal: st.QueueWaitTotal,
-		QueueWaitMax:   st.QueueWaitMax,
-		MeanQueueWait:  st.MeanQueueWait,
-		CacheHits:      st.CacheHits,
-		CacheMisses:    st.CacheMisses,
-		CacheEvictions: st.CacheEvictions,
-		CacheEntries:   st.CacheEntries,
-		CacheCapacity:  st.CacheCapacity,
-	}
-	out.BatchSizeHist = make([]BatchBucket, len(st.BatchSizeHist))
-	for i, b := range st.BatchSizeHist {
-		out.BatchSizeHist[i] = BatchBucket{Le: b.Le, Count: b.Count}
-	}
+	out := ServerStats{Stats: s.inner.Stats()}
 	// Aggregate under the lock: a concurrent Swap retires taggers and
 	// folds their traffic into retired, and the retirees' owner may
 	// refine them immediately after — reading tg.Stats() on a stale
