@@ -1,7 +1,7 @@
 # Local targets mirror the CI job (.github/workflows/ci.yml) exactly, so
 # a green `make check` predicts a green required-checks run.
 
-.PHONY: build test race lint vet fuzz check bench benchdiff
+.PHONY: build test race lint vet fuzz check bench benchdiff benchpair
 
 build:
 	go build ./...
@@ -43,3 +43,29 @@ bench:
 # Before/after: make benchdiff A=before.json B=after.json
 benchdiff:
 	go run ./bench compare $(A) $(B)
+
+# What a claimed gain rests on (choosing-metrics guide, section 8), as one
+# command: make benchpair BASE=<rev> W=<workload> [N=10]
+# builds ./bench from BASE and from the working tree, runs N pairs per seed
+# (1, and 2 as the hold-out) at the benchmark's own settings, alternating
+# which side goes first, and compares. BASE is unpacked with git archive
+# into the git-ignored .benchpair/ (its own module, so ./... skips it).
+N ?= 10
+benchpair:
+	@test -n "$(BASE)" -a -n "$(W)" || { echo "usage: make benchpair BASE=<rev> W=<workload> [N=10]"; exit 2; }
+	rm -rf .benchpair && mkdir -p .benchpair/base
+	git archive $(BASE) | tar -x -C .benchpair/base
+	cd .benchpair/base && go build -o ../bench-base ./bench
+	go build -o .benchpair/bench-head ./bench
+	@for seed in 1 2; do for i in $$(seq $(N)); do \
+		if [ $$((i % 2)) = 1 ]; then order="base head"; else order="head base"; fi; \
+		for side in $$order; do \
+			echo "seed $$seed pair $$i/$(N): $$side"; \
+			.benchpair/bench-$$side --workload $(W) --seed $$seed --seconds 18 --trace 0 \
+				-json .benchpair/$$side-seed$$seed.json >/dev/null || exit 1; \
+		done; \
+	done; done
+	@for seed in 1 2; do \
+		echo "== seed $$seed: A = $(BASE), B = working tree, $(N) pairs"; \
+		go run ./bench compare .benchpair/base-seed$$seed.json .benchpair/head-seed$$seed.json; \
+	done

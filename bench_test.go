@@ -310,7 +310,7 @@ func runServingClients(b *testing.B, clients int, tag func(q string) error) {
 // "batched" goes through the doctagger.Server micro-batching pool, and
 // "cached" adds the request-level result cache in front of the same pool
 // (the query mix cycles a small hot set, so most requests are hits). The
-// batched variants also report the mean batch size the dispatcher
+// batched variants also report the mean batch size the pool
 // observed and the cached variant its hit count — the quantities that
 // explain the throughput gaps.
 func BenchmarkServing(b *testing.B) {

@@ -29,7 +29,7 @@
 // "Distributed serving cluster" section of the package documentation.
 //
 // /v1/refresh rebuilds the pool with the same deterministic build the
-// process started with and atomically swaps it into the live dispatcher:
+// process started with and atomically swaps it into the live server:
 // in-flight requests drain on the old generation, new requests run on the
 // new one, the result cache flushes, and no request is dropped. In a real
 // deployment the rebuild would fold in accumulated tag refinements; here
@@ -74,7 +74,6 @@ type options struct {
 	docsMax   int
 	numTags   int
 	maxBatch  int
-	maxDelay  time.Duration
 	maxQueue  int
 	failFast  bool
 	cache     int
@@ -97,8 +96,7 @@ func main() {
 	flag.IntVar(&o.docsMin, "docs-min", 8, "minimum training documents per peer")
 	flag.IntVar(&o.docsMax, "docs-max", 12, "maximum training documents per peer")
 	flag.IntVar(&o.numTags, "tags", 8, "size of the synthetic tag universe")
-	flag.IntVar(&o.maxBatch, "max-batch", 32, "flush a batch at this many requests")
-	flag.DurationVar(&o.maxDelay, "max-delay", 2*time.Millisecond, "flush a batch this long after its first request")
+	flag.IntVar(&o.maxBatch, "max-batch", 32, "most queued requests one engine call takes (batches form only while every shard is busy)")
 	flag.IntVar(&o.maxQueue, "max-queue", 0, "submission queue bound (0 = 8*max-batch)")
 	flag.BoolVar(&o.failFast, "fail-fast", false, "reject with 503 when the queue is full instead of blocking")
 	flag.IntVar(&o.cache, "cache", 1024, "request-level result cache entries (0 disables)")
@@ -189,11 +187,10 @@ func makeBuild(o options) (func(int) (*doctagger.Tagger, error), []string, []rea
 }
 
 // newPool trains o.shards identical tagger swarms and fronts them with the
-// micro-batching dispatcher, caching o.cache answers (0 = off).
+// serving layer, caching o.cache answers (0 = off).
 func newPool(o options, build func(int) (*doctagger.Tagger, error)) (*doctagger.Server, error) {
 	return doctagger.NewReplicatedServer(o.shards, doctagger.ServerConfig{
 		MaxBatch:  o.maxBatch,
-		MaxDelay:  o.maxDelay,
 		MaxQueue:  o.maxQueue,
 		FailFast:  o.failFast,
 		CacheSize: o.cache,

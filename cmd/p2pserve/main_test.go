@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	doctagger "repro"
 )
@@ -23,7 +22,6 @@ func testOptions() options {
 		docsMax:  6,
 		numTags:  4,
 		maxBatch: 8,
-		maxDelay: time.Millisecond,
 		cache:    64,
 	}
 }

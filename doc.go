@@ -88,11 +88,10 @@
 // A Tagger is not safe for concurrent use; a Server is. Server (backed by
 // internal/serving) turns a pool of identically trained Taggers into a
 // concurrent serving front-end: goroutines submit single documents with
-// Tag (or many at once with TagBatch, which enters the dispatcher as
-// pre-formed batches and pays no coalescing delay), a micro-batching
-// dispatcher coalesces them — flushing at MaxBatch requests or MaxDelay
-// after the first, whichever comes first — and fans the batches over the
-// shard pool with one goroutine per shard, bounded queueing for
+// Tag (or many at once with TagBatch, which reaches the shards as
+// pre-formed batches) onto a bounded queue that one goroutine per shard
+// pulls from — an idle engine takes a request at once, and only while
+// every engine is busy do requests batch, up to MaxBatch — with
 // backpressure, per-request error propagation and a graceful drain on
 // Close. Batched answers are exactly what serial AutoTag calls would
 // return for the same inputs; the Stats snapshot (batch counts, batch-size
@@ -111,8 +110,8 @@
 //     byte-identical to uncached serial AutoTag.
 //   - Live model refresh (Server.Swap / Server.Refresh): a new identically
 //     trained tagger generation is installed under traffic — new shards
-//     start, the dispatcher switches between batches, old shards drain
-//     in-flight work and exit, the cache flushes so no answer outlives its
+//     start pulling from the queue, old shards finish their
+//     in-flight batch and exit, the cache flushes so no answer outlives its
 //     models, and no accepted request is dropped. This is how
 //     (*Tagger).Refine reaches live serving: refine a retired (or freshly
 //     built) generation offline, then swap it in — the paper's "upon the

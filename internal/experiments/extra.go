@@ -21,10 +21,12 @@ func newDHT(net *simnet.Network, ids []simnet.NodeID) *dhtHarness {
 	return &dhtHarness{ring: dht.New(net, ids, nil), net: net}
 }
 
-// lookup routes one key lookup and accumulates its hop count.
+// lookup routes one key lookup and stores its hop count in *hops. The
+// callback runs on the completing node's simnet shard, so concurrent
+// lookups need distinct hops.
 func (h *dhtHarness) lookup(from simnet.NodeID, key string, hops *int) error {
 	return h.ring.Lookup(from, dht.HashString(key), func(r dht.LookupResult) {
-		*hops += r.Hops
+		*hops = r.Hops
 	})
 }
 

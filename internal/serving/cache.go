@@ -8,7 +8,7 @@ import (
 )
 
 // resultCache is the request-level answer cache: a sharded, bounded LRU
-// keyed on document text, sitting in front of the dispatcher. Caching is
+// keyed on document text, sitting in front of the queue. Caching is
 // correct here because queries never feed back into the models — identical
 // text yields identical tags within one model generation — and every entry
 // is stamped with the generation that produced it, so answers from a

@@ -1,27 +1,25 @@
 // Package serving is the concurrent serving front-end of the system: a
-// thread-safe micro-batching dispatcher over a sharded pool of batch
-// classification engines, with an optional request-level result cache and
-// live engine-pool replacement.
+// thread-safe, work-conserving micro-batching front over a sharded pool of
+// batch classification engines, with an optional request-level result cache
+// and live engine-pool replacement.
 //
 // Concurrent callers submit single documents with Server.Tag (or many at
-// once with Server.TagBatch); a dispatcher goroutine coalesces them into
-// batches — flushing when MaxBatch requests are pending or MaxDelay has
-// passed since the first one, whichever comes first — and hands each batch
-// to one engine of the shard pool. Every engine is driven by exactly one
-// goroutine, so engines themselves need no internal locking (a
-// *doctagger.Tagger, which is not safe for concurrent use, plugs in
-// directly via AutoTagBatch).
+// once with Server.TagBatch) onto one bounded queue that the engine shards
+// pull from: an idle engine takes a request the moment it arrives, and a
+// batch grows (up to MaxBatch) only out of what queued while every engine
+// was busy. Every engine is driven by exactly one goroutine, so engines
+// themselves need no internal locking (a *doctagger.Tagger, which is not
+// safe for concurrent use, plugs in directly via AutoTagBatch).
 //
 // Batching is how the pool absorbs heavy traffic: one AutoTagBatch call
 // amortizes the swarm's query fan-out and network drain over many
-// documents, so the sustained request rate scales with batch size rather
-// than per-document round trips. The queue is bounded, giving natural
-// backpressure: submitters block (or fail fast, when configured) instead of
-// growing memory without limit. Close drains — every accepted request is
-// answered before shutdown completes.
+// documents, and no request is ever held back to wait for company. The
+// queue is bounded, giving natural backpressure: submitters block (or fail
+// fast, when configured) instead of growing memory without limit. Close
+// drains — every accepted request is answered before shutdown completes.
 //
 // With Config.CacheSize > 0 a sharded bounded LRU keyed on document text
-// answers repeated queries without touching the dispatcher at all. Caching
+// answers repeated queries without touching the queue at all. Caching
 // is sound because queries never feed back into the models: identical text
 // means identical tags for as long as one engine generation serves. The
 // same soundness argument drives single-flight dedup, which is always on:
@@ -29,10 +27,9 @@
 // engine query (Stats.Coalesced counts the riders).
 //
 // Swap installs a new engine generation under live traffic: new shard
-// goroutines start on a fresh batch channel, the dispatcher switches over
-// between batches, the old shards drain their in-flight work and exit, and
-// the cache flushes so no answer outlives the models that produced it. No
-// accepted request is ever dropped by a Swap.
+// goroutines start pulling from the same queue, the old shards finish their
+// in-flight batch and exit, and the cache flushes so no answer outlives the
+// models that produced it. No accepted request is ever dropped by a Swap.
 package serving
 
 import (
@@ -53,7 +50,8 @@ import (
 // as an empty list): when the batch error is set, a nil row cannot be told
 // apart from the failed one and is treated as failed. Engines need not be
 // safe for concurrent use; the Server serializes all calls to one engine on
-// a single goroutine.
+// a single goroutine. An engine must not retain texts: the shard reuses the
+// slice for its next batch.
 type Engine interface {
 	AutoTagBatch(texts []string) ([][]string, error)
 }
@@ -69,16 +67,13 @@ var (
 	ErrNoResult = errors.New("serving: engine returned no result")
 )
 
-// Config tunes the dispatcher.
+// Config tunes the server. There is no flush delay to tune: an idle engine
+// takes a request at once, and batches form only while every engine is
+// busy.
 type Config struct {
-	// MaxBatch flushes a batch when this many requests have coalesced;
+	// MaxBatch caps how many queued requests one engine call takes;
 	// default 32.
 	MaxBatch int
-	// MaxDelay flushes a batch this long after its first request was
-	// dequeued, even if it is smaller than MaxBatch; default 2ms. The
-	// delay is the latency price of batching: under light load a request
-	// waits at most MaxDelay for company.
-	MaxDelay time.Duration
 	// MaxQueue bounds the submission queue; default 8*MaxBatch. A full
 	// queue blocks Tag (or rejects, with FailFast) — backpressure instead
 	// of unbounded memory.
@@ -88,7 +83,7 @@ type Config struct {
 	FailFast bool
 	// CacheSize bounds the request-level result cache (entries across all
 	// cache shards); 0 disables caching. Repeated queries for the same
-	// text are answered from the cache without entering the dispatcher;
+	// text are answered from the cache without entering the queue;
 	// the cache flushes whenever Swap installs a new engine generation.
 	CacheSize int
 }
@@ -99,12 +94,6 @@ func (c *Config) defaults() error {
 	}
 	if c.MaxBatch < 1 {
 		return fmt.Errorf("serving: MaxBatch %d < 1", c.MaxBatch)
-	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = 2 * time.Millisecond
-	}
-	if c.MaxDelay < 0 {
-		return fmt.Errorf("serving: negative MaxDelay %v", c.MaxDelay)
 	}
 	if c.MaxQueue == 0 {
 		c.MaxQueue = 8 * c.MaxBatch
@@ -192,7 +181,7 @@ type result struct {
 
 // flight is one in-flight engine query that concurrent identical misses
 // coalesce onto (single-flight dedup): the first miss for a text becomes
-// the leader and travels through the dispatcher as usual; later Tag calls
+// the leader and travels through the queue as usual; later Tag calls
 // for the same text while the leader is outstanding just wait for its
 // result. tags/err/gen are written once, before done closes.
 type flight struct {
@@ -208,21 +197,13 @@ type request struct {
 	ch       chan result // buffered(1): delivery never blocks a shard
 }
 
-// generation is one engine pool: a batch channel owned (as sender) solely
-// by the dispatcher, and one goroutine per engine reading it. Swapping
-// generations closes the old channel from the dispatcher — the only place
-// that can do so without racing a send.
+// generation is one engine pool: one goroutine per engine, each pulling
+// from the server's shared queue until stop closes. Only Swap and Close
+// close stop, serialized by swapMu.
 type generation struct {
 	id      int64
-	batches chan []*request
+	stop    chan struct{}
 	workers sync.WaitGroup
-}
-
-// swapReq asks the dispatcher to retire its current generation in favor of
-// gen; the dispatcher answers with the retired generation on reply.
-type swapReq struct {
-	gen   *generation
-	reply chan *generation
 }
 
 // Server is the micro-batching front-end. All methods are safe for
@@ -230,9 +211,8 @@ type swapReq struct {
 type Server struct {
 	cfg        Config
 	queue      chan *request
-	prebatched chan []*request // pre-formed TagBatch chunks, dispatcher-forwarded
-	swapc      chan swapReq
-	cache      *resultCache // nil when CacheSize is 0
+	prebatched chan []*request // pre-formed TagBatch chunks, taken whole by a shard
+	cache      *resultCache    // nil when CacheSize is 0
 
 	// flightMu guards flights, the single-flight table of in-flight Tag
 	// misses by text. Entries are removed when their leader's result
@@ -243,10 +223,11 @@ type Server struct {
 	flights  map[string]*flight
 
 	// swapMu serializes Swap calls and excludes them against Close's
-	// closed-flag flip: a Swap that passes its closed-check is guaranteed
-	// a live dispatcher for the whole installation, so Swap can never
-	// "succeed" on a server that has already begun shutting down.
+	// closed-flag flip, so Swap can never "succeed" on a server that has
+	// already begun shutting down. It guards cur, the generation whose
+	// shards are serving.
 	swapMu sync.Mutex
+	cur    *generation
 
 	// closing mirrors closed for lock-free reads on the cache-hit fast
 	// path (which takes no other server-wide lock).
@@ -257,7 +238,6 @@ type Server struct {
 	generation int64
 	ctr        counters
 	pending    sync.WaitGroup // accepted-but-unanswered requests
-	workers    sync.WaitGroup // dispatcher (which itself awaits its generation)
 	done       chan struct{}  // closed when shutdown completes
 }
 
@@ -270,8 +250,8 @@ type counters struct {
 	waitTotal, waitMax                 time.Duration
 }
 
-// New starts a Server over the given engine pool, one goroutine per engine
-// plus the dispatcher. The engines must be distinct instances; when callers
+// New starts a Server over the given engine pool, one goroutine per
+// engine. The engines must be distinct instances; when callers
 // need shard answers to be interchangeable (they usually do), the engines
 // must also be identically trained.
 func New(cfg Config, engines ...Engine) (*Server, error) {
@@ -285,24 +265,20 @@ func New(cfg Config, engines ...Engine) (*Server, error) {
 		cfg:        cfg,
 		queue:      make(chan *request, cfg.MaxQueue),
 		prebatched: make(chan []*request),
-		swapc:      make(chan swapReq),
 		cache:      newResultCache(cfg.CacheSize),
 		flights:    make(map[string]*flight),
 		shards:     len(engines),
 		generation: 1,
 		done:       make(chan struct{}),
 	}
-	g := s.newGeneration(1, engines)
-	s.workers.Add(1)
-	go s.dispatch(g)
+	s.cur = s.newGeneration(1, engines)
 	return s, nil
 }
 
-// newGeneration starts one shard goroutine per engine on a fresh batch
-// channel and returns the generation; the caller hands it to the
-// dispatcher (at New or through swapc).
+// newGeneration starts one shard goroutine per engine; they serve from the
+// shared queue until the generation's stop channel closes.
 func (s *Server) newGeneration(id int64, engines []Engine) *generation {
-	g := &generation{id: id, batches: make(chan []*request)}
+	g := &generation{id: id, stop: make(chan struct{})}
 	g.workers.Add(len(engines))
 	for _, e := range engines {
 		go s.serve(g, e)
@@ -477,9 +453,9 @@ func (s *Server) abortFlight(text string, f *flight) {
 }
 
 // TagBatch submits many documents at once. Unlike len(texts) separate Tag
-// calls, the documents skip per-request coalescing and enter the
-// dispatcher as pre-formed batches (chunked at MaxBatch), so a bulk caller
-// pays no MaxDelay and no queue contention. Answers are identical to
+// calls, the documents skip the per-request queue and reach the engine
+// shards as pre-formed batches (chunked at MaxBatch), so a bulk caller pays
+// one hand-off per chunk and no queue contention. Answers are identical to
 // per-document Tag calls: one tag list per input in input order, rows the
 // swarm cannot answer nil, with the first failure reported as the error
 // alongside the remaining results (mirroring AutoTagBatch). Documents with
@@ -490,7 +466,7 @@ func (s *Server) abortFlight(text string, f *flight) {
 // and realnet.Ensemble.AutoTagBatch), so a chunk's intermediate state is
 // O(1) regardless of its size.
 //
-// Submission blocks until the dispatcher accepts every chunk or ctx is
+// Submission blocks until an engine shard has taken every chunk or ctx is
 // cancelled; TagBatch does not fail fast. As with Tag, cancelling after
 // submission abandons the wait, not the accepted work.
 func (s *Server) TagBatch(ctx context.Context, texts []string) ([][]string, error) {
@@ -506,7 +482,7 @@ func (s *Server) TagBatch(ctx context.Context, texts []string) ([][]string, erro
 	out := make([][]string, len(texts))
 	errs := make([]error, len(texts))
 	// Resolve cache hits first; only the misses need to join the drain
-	// set and travel through the dispatcher. Duplicate texts collapse to
+	// set and travel to the engines. Duplicate texts collapse to
 	// one request each — identical text means identical tags within a
 	// generation, so one computed answer fans out to every duplicate row.
 	var misses []*request
@@ -597,17 +573,17 @@ func (s *Server) TagBatch(ctx context.Context, texts []string) ([][]string, erro
 }
 
 // Swap atomically installs a new engine generation under live traffic: the
-// new shards start first, the dispatcher switches to them between batches,
-// the old shards drain their in-flight batches and exit, and the result
-// cache flushes so no cached answer outlives the models that produced it.
-// No accepted request is dropped — work queued before the swap is simply
-// served by whichever generation its batch dispatches to. Swap returns
-// after the old generation has fully drained, so its engines are safe to
-// reuse (e.g. to refine offline and swap back in later).
+// new shards start pulling from the queue first, the old shards finish
+// their in-flight batch and exit, and the result cache flushes so no cached
+// answer outlives the models that produced it. No accepted request is
+// dropped — work queued before the swap is simply served by whichever
+// generation's shard pulls it. Swap returns after the old generation has
+// fully drained, so its engines are safe to reuse (e.g. to refine offline
+// and swap back in later).
 //
 // The new engines must answer interchangeably with each other; whether
 // they must also match the retired generation is the caller's consistency
-// contract, not the dispatcher's.
+// contract, not the server's.
 func (s *Server) Swap(engines ...Engine) error {
 	if len(engines) == 0 {
 		return errors.New("serving: Swap needs at least one engine")
@@ -621,40 +597,26 @@ func (s *Server) Swap(engines ...Engine) error {
 	}
 	id := s.generation + 1
 	s.mu.Unlock()
-	g := s.newGeneration(id, engines)
-	sw := swapReq{gen: g, reply: make(chan *generation, 1)}
-	//dmtvet:allow lockdiscipline swapMu exists to serialize swaps; blocking while holding it is its job, and only Swap/Close contend
-	select {
-	case s.swapc <- sw:
-	case <-s.done:
-		// Defensive only: holding swapMu, Close cannot flip closed under
-		// us, so a Swap that passed the check above always finds the
-		// dispatcher alive. Kept so a future Close refactor degrades to
-		// ErrClosed instead of a deadlock.
-		close(g.batches)
-		//dmtvet:allow lockdiscipline defensive drain of the never-started generation; nothing else can hold swapMu once done is closed
-		g.workers.Wait()
-		return ErrClosed
-	}
-	//dmtvet:allow lockdiscipline the dispatcher always replies after taking sw from swapc; swapMu serializes swaps by design
-	old := <-sw.reply
-	// Flush as soon as the dispatcher has switched, not after the old
-	// shards drain: from here on new-generation answers are cacheable,
-	// while any straggling old-generation result is rejected by its
-	// generation stamp — so a slow draining batch cannot stall or poison
-	// the cache.
+	old := s.cur
+	s.cur = s.newGeneration(id, engines)
+	close(old.stop)
+	// Flush as soon as the old shards are told to stop, not after they
+	// drain: from here on new-generation answers are cacheable, while any
+	// straggling old-generation result is rejected by its generation stamp
+	// — so a slow draining batch cannot stall or poison the cache.
 	if s.cache != nil {
 		s.cache.flush(id)
 	}
-	// Discard the single-flight table for the same reason: a miss from
-	// here on must query the new generation, not piggyback on an
-	// old-generation leader. Outstanding leaders still complete their
-	// already-joined waiters (who submitted before the swap finished).
+	//dmtvet:allow lockdiscipline Swap's contract is to return only after the old generation drains; swapMu intentionally serializes that wait
+	old.workers.Wait() // old shards have finished their batch and exited
+	// Discard the single-flight table only now: until the old shards are
+	// gone a fresh leader can still be answered by one, and a miss after
+	// Swap returns must not piggyback on it. Outstanding leaders still
+	// complete their already-joined waiters (who submitted before the
+	// swap finished).
 	s.flightMu.Lock()
 	s.flights = make(map[string]*flight)
 	s.flightMu.Unlock()
-	//dmtvet:allow lockdiscipline Swap's contract is to return only after the old generation drains; swapMu intentionally serializes that wait
-	old.workers.Wait() // old shards have drained and exited
 	s.mu.Lock()
 	s.generation = id
 	s.shards = len(engines)
@@ -662,132 +624,102 @@ func (s *Server) Swap(engines ...Engine) error {
 	return nil
 }
 
-// dispatch coalesces queued requests into batches: a batch opens with the
-// first request pulled from the queue and flushes at MaxBatch requests or
-// MaxDelay after opening, whichever comes first. Pre-formed TagBatch
-// chunks are forwarded as-is, and swap requests switch cur between
-// batches. The dispatcher is the sole sender on every generation's batch
-// channel, which is what makes closing one on swap or shutdown safe.
-func (s *Server) dispatch(cur *generation) {
-	defer func() {
-		close(cur.batches)
-		cur.workers.Wait()
-		s.workers.Done()
-	}()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
+// serve drives one engine of generation g: it owns every call into e, so e
+// sees strictly serial use. An idle shard blocks for the first request (or
+// a pre-formed TagBatch chunk), so a lone request reaches an idle engine at
+// once; whatever else queued while every shard was busy rides along, up to
+// MaxBatch, without waiting for more. The shard exits when g.stop closes,
+// after finishing any in-flight batch.
+func (s *Server) serve(g *generation, e Engine) {
+	defer g.workers.Done()
+	batch := make([]*request, 0, s.cfg.MaxBatch)
+	texts := make([]string, s.cfg.MaxBatch)
 	for {
+		// A retired shard must not win another batch off the queue by
+		// select's coin toss: look at stop first.
 		select {
-		case first, ok := <-s.queue:
-			if !ok {
-				return
-			}
-			batch := append(make([]*request, 0, s.cfg.MaxBatch), first)
-			timer.Reset(s.cfg.MaxDelay)
-			open := true
-		collect:
+		case <-g.stop:
+			return
+		default:
+		}
+		select {
+		case <-g.stop:
+			return
+		case first := <-s.queue:
+			batch = append(batch[:0], first)
+		drain:
 			for len(batch) < s.cfg.MaxBatch {
 				select {
-				case r, ok := <-s.queue:
-					if !ok {
-						open = false
-						break collect
-					}
+				case r := <-s.queue:
 					batch = append(batch, r)
-				case <-timer.C:
-					break collect
-				}
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
 				default:
+					break drain
 				}
 			}
-			cur.batches <- batch
-			if !open {
-				return
-			}
+			s.run(g.id, e, batch, texts[:len(batch)])
 		case chunk := <-s.prebatched:
-			cur.batches <- chunk
-		case sw := <-s.swapc:
-			close(cur.batches)
-			old := cur
-			cur = sw.gen
-			sw.reply <- old
+			s.run(g.id, e, chunk, texts[:len(chunk)])
 		}
 	}
 }
 
-// serve drives one engine of generation g: it owns every call into e, so e
-// sees strictly serial use. It exits when g's batch channel closes (swap
-// or shutdown), after finishing any in-flight batch.
-func (s *Server) serve(g *generation, e Engine) {
-	defer g.workers.Done()
-	for batch := range g.batches {
-		start := time.Now()
-		texts := make([]string, len(batch))
-		for i, r := range batch {
-			texts[i] = r.text
+// run answers one batch (at most MaxBatch requests) from engine e of
+// generation gen. texts is the shard's reused argument buffer, cut to the
+// batch's length.
+func (s *Server) run(gen int64, e Engine, batch []*request, texts []string) {
+	start := time.Now()
+	var waitTotal, waitMax time.Duration
+	for i, r := range batch {
+		texts[i] = r.text
+		w := start.Sub(r.enqueued)
+		waitTotal += w
+		waitMax = max(waitMax, w)
+	}
+	out, err := e.AutoTagBatch(texts)
+	// The batch error wraps the cause of the first failed row
+	// (e.g. "document 3: no answer"); unwrap it so per-request errors
+	// don't carry another request's batch-relative index.
+	if u := errors.Unwrap(err); u != nil {
+		err = u
+	}
+	answer := func(i int) result {
+		switch {
+		case i < len(out) && out[i] != nil:
+			return result{tags: out[i], gen: gen}
+		case err != nil:
+			return result{err: err, gen: gen}
+		case i < len(out):
+			// A nil row without an error is a legal empty answer;
+			// normalize it to an empty non-nil list so that a nil
+			// answer always means failure (TagBatch callers rely on
+			// the distinction to retry exactly the failed rows).
+			return result{tags: []string{}, gen: gen}
+		default:
+			return result{err: ErrNoResult, gen: gen}
 		}
-		out, err := e.AutoTagBatch(texts)
-		// The batch error wraps the cause of the first failed row
-		// (e.g. "document 3: no answer"); unwrap it so per-request errors
-		// don't carry another request's batch-relative index.
-		cause := err
-		if err != nil {
-			if u := errors.Unwrap(err); u != nil {
-				cause = u
-			}
+	}
+	var failed int64
+	for i := range batch {
+		if answer(i).err != nil {
+			failed++
 		}
-		var failed int64
-		for i, r := range batch {
-			res := result{gen: g.id}
-			switch {
-			case i < len(out) && out[i] != nil:
-				res.tags = out[i]
-			case err == nil && i < len(out):
-				// A nil row without an error is a legal empty answer;
-				// normalize it to an empty non-nil list so that a nil
-				// answer always means failure (TagBatch callers rely on
-				// the distinction to retry exactly the failed rows).
-				res.tags = []string{}
-			case err != nil:
-				res.err = cause
-			default:
-				res.err = ErrNoResult
-			}
-			if res.err != nil {
-				failed++
-			}
-			r.ch <- res
-			s.pending.Done()
-		}
-		var waitTotal, waitMax time.Duration
-		for _, r := range batch {
-			w := start.Sub(r.enqueued)
-			waitTotal += w
-			if w > waitMax {
-				waitMax = w
-			}
-		}
-		n := len(batch)
-		s.count(func(c *counters) {
-			c.served += int64(n)
-			c.errors += failed
-			c.batches++
-			c.batchedDocs += int64(n)
-			if n > c.maxBatch {
-				c.maxBatch = n
-			}
-			c.hist[bucketFor(n)]++
-			c.waitTotal += waitTotal
-			if waitMax > c.waitMax {
-				c.waitMax = waitMax
-			}
-		})
+	}
+	// Count before the first reply: a caller that reads Stats right after
+	// its Tag returns must already find its own request in Served.
+	n := len(batch)
+	s.count(func(c *counters) {
+		c.served += int64(n)
+		c.errors += failed
+		c.batches++
+		c.batchedDocs += int64(n)
+		c.maxBatch = max(c.maxBatch, n)
+		c.hist[bucketFor(n)]++
+		c.waitTotal += waitTotal
+		c.waitMax = max(c.waitMax, waitMax)
+	})
+	for i, r := range batch {
+		r.ch <- answer(i)
+		s.pending.Done()
 	}
 }
 
@@ -851,9 +783,9 @@ func (s *Server) Stats() Stats {
 }
 
 // Close drains and shuts down: new submissions fail with ErrClosed, every
-// already-accepted request is answered, then the dispatcher and shard
-// goroutines exit. Close blocks until the drain completes and is safe to
-// call more than once (later calls wait for the first to finish).
+// already-accepted request is answered, then the shard goroutines exit.
+// Close blocks until the drain completes and is safe to call more than once
+// (later calls wait for the first to finish).
 func (s *Server) Close() {
 	// Taking swapMu excludes an in-flight Swap: either the swap fully
 	// installs before we flip closed (and we drain through the new
@@ -865,16 +797,17 @@ func (s *Server) Close() {
 	s.closed = true
 	s.mu.Unlock()
 	s.closing.Store(true)
+	cur := s.cur // final: every later Swap fails its closed-check
 	s.swapMu.Unlock()
 	if already {
 		<-s.done
 		return
 	}
 	// Every request ever admitted past the closed check is registered in
-	// pending, and the dispatcher is still consuming — both the queue and
+	// pending, and the shards are still pulling — both the queue and
 	// pre-formed chunks — so this terminates.
 	s.pending.Wait()
-	close(s.queue)
-	s.workers.Wait()
+	close(cur.stop)
+	cur.workers.Wait()
 	close(s.done)
 }

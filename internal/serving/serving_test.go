@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -60,7 +61,6 @@ func (f *fakeEngine) batchSizes() []int {
 func TestConfigValidation(t *testing.T) {
 	for _, cfg := range []Config{
 		{MaxBatch: -1},
-		{MaxDelay: -time.Second},
 		{MaxQueue: -3},
 	} {
 		if _, err := New(cfg, &fakeEngine{}); err == nil {
@@ -72,13 +72,13 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestBatchingUnderConcurrency is the acceptance check of the dispatcher:
-// 64 concurrent clients against a briefly-busy engine must coalesce — mean
-// batch size above 1 — while every client still receives exactly its own
-// document's answer.
+// TestBatchingUnderConcurrency is the "batches form under contention" half
+// of the flush policy: 64 concurrent clients against a briefly-busy engine
+// must coalesce — mean batch size above 1 — while every client still
+// receives exactly its own document's answer.
 func TestBatchingUnderConcurrency(t *testing.T) {
 	eng := &fakeEngine{delay: time.Millisecond}
-	s, err := New(Config{MaxBatch: 16, MaxDelay: 5 * time.Millisecond}, eng)
+	s, err := New(Config{MaxBatch: 16}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,24 +126,88 @@ func TestBatchingUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestSingleRequestFlushesOnDelay: a lone request must not wait for
-// MaxBatch company forever.
-func TestSingleRequestFlushesOnDelay(t *testing.T) {
-	eng := &fakeEngine{}
-	s, err := New(Config{MaxBatch: 64, MaxDelay: time.Millisecond}, eng)
+// TestBusyEngineBatchesTheBacklog is the mirror of the lone-request case:
+// requests that arrive while the only engine is busy are not dispatched one
+// by one — they ride together in the engine's next call.
+func TestBusyEngineBatchesTheBacklog(t *testing.T) {
+	eng := newGatedEngine()
+	s, err := New(Config{MaxBatch: 8}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	tags, err := s.Tag(context.Background(), "solo")
-	if err != nil || len(tags) != 1 {
-		t.Fatalf("Tag = %v, %v", tags, err)
+	var wg sync.WaitGroup
+	submit := func(text string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Tag(context.Background(), text); err != nil {
+				t.Errorf("Tag(%q): %v", text, err)
+			}
+		}()
 	}
-	if sizes := eng.batchSizes(); len(sizes) != 1 || sizes[0] != 1 {
-		t.Errorf("batch sizes = %v, want [1]", sizes)
+	submit("a")
+	if batch := <-eng.entered; fmt.Sprint(batch) != "[a]" {
+		t.Fatalf("first batch = %v, want [a] alone", batch)
 	}
-	if st := s.Stats(); st.MeanQueueWait <= 0 {
-		t.Errorf("queue wait not recorded: %+v", st)
+	// Requests counts a submission once it sits in the queue, so waiting
+	// on it between submissions fixes the queue order.
+	for i, text := range []string{"b", "c", "d"} {
+		submit(text)
+		waitStats(t, s, text+" to queue", func(st Stats) bool { return st.Requests == int64(i+2) })
+	}
+	close(eng.release)
+	if batch := <-eng.entered; fmt.Sprint(batch) != "[b c d]" {
+		t.Errorf("backlog batch = %v, want [b c d]", batch)
+	}
+	wg.Wait()
+}
+
+// TestLoneRequestSkipsTheWait: with every engine idle a request is handed
+// over at once — sequential lone requests accumulate no queue wait to speak
+// of (a flush timer of even 1 ms would put the mean at >= 1 ms).
+func TestLoneRequestSkipsTheWait(t *testing.T) {
+	eng := &fakeEngine{}
+	s, err := New(Config{MaxBatch: 64}, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const n = 200
+	for i := 0; i < n; i++ {
+		tags, err := s.Tag(context.Background(), fmt.Sprintf("solo-%d", i))
+		if err != nil || len(tags) != 1 {
+			t.Fatalf("Tag = %v, %v", tags, err)
+		}
+	}
+	if sizes := eng.batchSizes(); len(sizes) != n || slices.Max(sizes) != 1 {
+		t.Errorf("batch sizes = %v, want %d batches of 1", sizes, n)
+	}
+	if st := s.Stats(); st.MeanQueueWait <= 0 || st.MeanQueueWait >= 500*time.Microsecond {
+		t.Errorf("mean queue wait %v, want within (0, 500µs)", st.MeanQueueWait)
+	}
+}
+
+// TestStatsCountBeforeReply: the counters are updated before a batch's
+// first reply, so a Stats read right behind Tag already includes that
+// request and the accounting identity holds on every read.
+func TestStatsCountBeforeReply(t *testing.T) {
+	s, err := New(Config{}, &fakeEngine{}, &fakeEngine{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := int64(1); i <= 10000; i++ {
+		if _, err := s.Tag(context.Background(), fmt.Sprintf("doc-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		st := s.Stats()
+		if st.Served != i || st.Requests != i || st.Batches != i {
+			t.Fatalf("after Tag %d: served %d requests %d batches %d", i, st.Served, st.Requests, st.Batches)
+		}
+		if st.Issued != i { // = Served + CacheHits + Coalesced + Deduped
+			t.Fatalf("after Tag %d: issued %d in %+v", i, st.Issued, st)
+		}
 	}
 }
 
@@ -152,7 +216,7 @@ func TestSingleRequestFlushesOnDelay(t *testing.T) {
 // mates succeed.
 func TestPerRequestErrorPropagation(t *testing.T) {
 	eng := &fakeEngine{failOn: map[string]bool{"bad-1": true, "bad-2": true}}
-	s, err := New(Config{MaxBatch: 8, MaxDelay: 20 * time.Millisecond}, eng)
+	s, err := New(Config{MaxBatch: 8}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +253,7 @@ func TestPerRequestErrorPropagation(t *testing.T) {
 // refuse new work.
 func TestCloseDrains(t *testing.T) {
 	eng := &fakeEngine{delay: 2 * time.Millisecond}
-	s, err := New(Config{MaxBatch: 4, MaxDelay: time.Millisecond}, eng)
+	s, err := New(Config{MaxBatch: 4}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +290,7 @@ func TestCloseDrains(t *testing.T) {
 // submissions are rejected instead of blocking.
 func TestFailFastBackpressure(t *testing.T) {
 	eng := &fakeEngine{delay: 5 * time.Millisecond}
-	s, err := New(Config{MaxBatch: 1, MaxDelay: time.Millisecond, MaxQueue: 1, FailFast: true}, eng)
+	s, err := New(Config{MaxBatch: 1, MaxQueue: 1, FailFast: true}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +319,7 @@ func TestFailFastBackpressure(t *testing.T) {
 // request still drains, so Close completes.
 func TestContextCancelAbandonsWait(t *testing.T) {
 	eng := &fakeEngine{delay: 20 * time.Millisecond}
-	s, err := New(Config{MaxBatch: 2, MaxDelay: time.Millisecond}, eng)
+	s, err := New(Config{MaxBatch: 2}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +341,7 @@ func TestContextCancelAbandonsWait(t *testing.T) {
 // for a dead context, and the fail-fast path never looked at ctx at all).
 func TestPreCancelledContextNeverEnqueues(t *testing.T) {
 	for _, failFast := range []bool{false, true} {
-		s, err := New(Config{MaxBatch: 4, MaxDelay: time.Millisecond, FailFast: failFast}, &fakeEngine{})
+		s, err := New(Config{MaxBatch: 4, FailFast: failFast}, &fakeEngine{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,11 +364,11 @@ func TestPreCancelledContextNeverEnqueues(t *testing.T) {
 }
 
 // TestTagBatchMatchesTag: batch answers are identical to per-document Tag
-// calls, in input order, and the documents enter the dispatcher as
-// pre-formed chunks of at most MaxBatch.
+// calls, in input order, and the documents reach the engine as pre-formed
+// chunks of at most MaxBatch.
 func TestTagBatchMatchesTag(t *testing.T) {
 	eng := &fakeEngine{}
-	s, err := New(Config{MaxBatch: 4, MaxDelay: time.Millisecond}, eng)
+	s, err := New(Config{MaxBatch: 4}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +394,7 @@ func TestTagBatchMatchesTag(t *testing.T) {
 		}
 	}
 	// The first three engine calls are the batch's pre-formed chunks:
-	// 10 docs at MaxBatch 4 split 4+4+2, untouched by MaxDelay coalescing.
+	// 10 docs at MaxBatch 4 split 4+4+2, untouched by queue batching.
 	sizes := eng.batchSizes()
 	if len(sizes) < 3 || sizes[0] != 4 || sizes[1] != 4 || sizes[2] != 2 {
 		t.Errorf("chunk sizes = %v, want prefix [4 4 2]", sizes)
@@ -345,7 +409,7 @@ func TestTagBatchMatchesTag(t *testing.T) {
 // independently mutable), errors fanned to all duplicates too.
 func TestTagBatchDeduplicates(t *testing.T) {
 	eng := &fakeEngine{failOn: map[string]bool{"bad": true}}
-	s, err := New(Config{MaxBatch: 16, MaxDelay: time.Millisecond}, eng)
+	s, err := New(Config{MaxBatch: 16}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +450,7 @@ func TestTagBatchDeduplicates(t *testing.T) {
 // input's index with its unwrapped cause.
 func TestTagBatchErrorRows(t *testing.T) {
 	eng := &fakeEngine{failOn: map[string]bool{"bad-1": true, "bad-2": true}}
-	s, err := New(Config{MaxBatch: 2, MaxDelay: time.Millisecond}, eng)
+	s, err := New(Config{MaxBatch: 2}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +480,7 @@ func TestTagBatchErrorRows(t *testing.T) {
 // TestTagBatchUsesCache: rows with cached answers never reach the engine.
 func TestTagBatchUsesCache(t *testing.T) {
 	eng := &fakeEngine{}
-	s, err := New(Config{MaxBatch: 8, MaxDelay: time.Millisecond, CacheSize: 8}, eng)
+	s, err := New(Config{MaxBatch: 8, CacheSize: 8}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +510,7 @@ func TestTagBatchUsesCache(t *testing.T) {
 // drained and the cache holds nothing it produced.
 func TestSwapSwitchesGenerations(t *testing.T) {
 	g1 := &fakeEngine{prefix: "g1:"}
-	s, err := New(Config{MaxBatch: 4, MaxDelay: time.Millisecond, CacheSize: 16}, g1)
+	s, err := New(Config{MaxBatch: 4, CacheSize: 16}, g1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +548,7 @@ func TestSwapSwitchesGenerations(t *testing.T) {
 // has returned the old generation must never answer again. Run with -race.
 func TestSwapUnderLoad(t *testing.T) {
 	gen1 := []Engine{&fakeEngine{prefix: "g1:", delay: time.Millisecond}, &fakeEngine{prefix: "g1:", delay: time.Millisecond}}
-	s, err := New(Config{MaxBatch: 8, MaxDelay: time.Millisecond, CacheSize: 32}, gen1...)
+	s, err := New(Config{MaxBatch: 8, CacheSize: 32}, gen1...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +615,7 @@ func TestSwapUnderLoad(t *testing.T) {
 // TestSwapAfterClose: a closed server refuses new generations and cleans
 // up the engines it was offered.
 func TestSwapAfterClose(t *testing.T) {
-	s, err := New(Config{MaxBatch: 2, MaxDelay: time.Millisecond}, &fakeEngine{})
+	s, err := New(Config{MaxBatch: 2}, &fakeEngine{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +630,7 @@ func TestSwapAfterClose(t *testing.T) {
 // hang on phantom pending work.
 func TestTagBatchCancelledMidSubmission(t *testing.T) {
 	eng := &fakeEngine{delay: 5 * time.Millisecond}
-	s, err := New(Config{MaxBatch: 2, MaxDelay: time.Millisecond}, eng)
+	s, err := New(Config{MaxBatch: 2}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +655,7 @@ func TestTagBatchCancelledMidSubmission(t *testing.T) {
 // engine's slice append would race otherwise under -race).
 func TestShardPoolParallelism(t *testing.T) {
 	engines := []*fakeEngine{{delay: time.Millisecond}, {delay: time.Millisecond}, {delay: time.Millisecond}}
-	s, err := New(Config{MaxBatch: 4, MaxDelay: time.Millisecond},
+	s, err := New(Config{MaxBatch: 4},
 		engines[0], engines[1], engines[2])
 	if err != nil {
 		t.Fatal(err)

@@ -68,7 +68,7 @@ func waitStats(t *testing.T, s *Server, what string, cond func(Stats) bool) {
 // every follower is guaranteed to find the flight in progress.
 func TestSingleFlightDedup(t *testing.T) {
 	eng := newGatedEngine()
-	s, err := New(Config{MaxBatch: 4, MaxDelay: time.Millisecond}, eng)
+	s, err := New(Config{MaxBatch: 4}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSingleFlightDedup(t *testing.T) {
 // mutating its result must not corrupt anyone else's.
 func TestSingleFlightNoSliceAliasing(t *testing.T) {
 	eng := newGatedEngine()
-	s, err := New(Config{MaxBatch: 4, MaxDelay: time.Millisecond, CacheSize: 8}, eng)
+	s, err := New(Config{MaxBatch: 4, CacheSize: 8}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +161,11 @@ func TestSingleFlightNoSliceAliasing(t *testing.T) {
 	}
 }
 
-// TestSingleFlightDistinctTexts: different texts never coalesce.
+// TestSingleFlightDistinctTexts: different texts never coalesce. Two
+// engines behind one gate, so "a" and "b" can both be in flight at once.
 func TestSingleFlightDistinctTexts(t *testing.T) {
 	eng := newGatedEngine()
-	s, err := New(Config{MaxBatch: 8, MaxDelay: time.Millisecond}, eng)
+	s, err := New(Config{MaxBatch: 8}, eng, &gatedEngine{entered: eng.entered, release: eng.release})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestSingleFlightDistinctTexts(t *testing.T) {
 // answers, not a second query).
 func TestSingleFlightFollowerSurvivesLeaderCancel(t *testing.T) {
 	eng := newGatedEngine()
-	s, err := New(Config{MaxBatch: 4, MaxDelay: time.Millisecond}, eng)
+	s, err := New(Config{MaxBatch: 4}, eng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,11 @@ import (
 	"repro/internal/serving"
 )
 
-// ServerConfig tunes the concurrent serving front-end: MaxBatch, MaxDelay,
-// MaxQueue, FailFast and CacheSize, documented on the aliased type. The
-// zero value batches up to 32 documents, waits at most 2ms for a batch to
-// fill, bounds the queue at 8*MaxBatch, and disables the result cache.
+// ServerConfig tunes the concurrent serving front-end: MaxBatch, MaxQueue,
+// FailFast and CacheSize, documented on the aliased type. An idle engine
+// takes a request at once; only while every engine is busy do requests
+// batch, up to MaxBatch. The zero value batches up to 32 documents, bounds
+// the queue at 8*MaxBatch, and disables the result cache.
 // The cache is sound because queries never feed back into the models, and
 // it flushes whenever Swap, SwapEngines or Refresh installs a new
 // generation, so a cached answer never outlives the models that produced
@@ -50,7 +51,7 @@ var (
 // unbounded.
 type BatchBucket = serving.BatchBucket
 
-// ServerStats snapshots a Server's counters: the dispatcher's request,
+// ServerStats snapshots a Server's counters: the serving layer's request,
 // batch, queue-wait and cache accounting (the embedded serving.Stats, whose
 // fields promote — st.Served, st.Issued, ... — and marshal flat), plus the
 // simulated swarms' aggregate traffic.
@@ -65,8 +66,9 @@ type ServerStats struct {
 }
 
 // Server is the concurrent serving front-end over a pool of trained
-// Taggers: many goroutines submit single documents, a micro-batching
-// dispatcher coalesces them into AutoTagBatch calls fanned across the pool.
+// Taggers: many goroutines submit single documents, and the shards turn
+// them into AutoTagBatch calls — one document for an idle shard, whatever
+// queued meanwhile (up to MaxBatch) for a busy one.
 // A Tagger alone is not safe for concurrent use; a Server is — each shard
 // is driven by exactly one goroutine.
 //
@@ -243,9 +245,9 @@ func (s *Server) Tag(ctx context.Context, text string) ([]string, error) {
 	return s.inner.Tag(ctx, text)
 }
 
-// TagBatch submits many documents at once: they enter the dispatcher as
-// pre-formed batches (chunked at MaxBatch) instead of coalescing through
-// the per-request queue, so a bulk caller pays no MaxDelay. Answers are
+// TagBatch submits many documents at once: they reach the engine shards as
+// pre-formed batches (chunked at MaxBatch) instead of passing through the
+// per-request queue one by one. Answers are
 // pinned identical to per-document Tag calls — one tag list per input in
 // input order, unanswerable rows nil, the first failure reported as the
 // error alongside the remaining results (the AutoTagBatch contract).
@@ -278,7 +280,7 @@ func (s *Server) swapLocked(taggers []*Tagger) ([]*Tagger, error) {
 		return nil, err
 	}
 	// Snapshot the incoming generation's baselines before it can serve a
-	// single request (the dispatcher switches inside inner.Swap, which
+	// single request (its shards start inside inner.Swap, which
 	// also waits out the old generation's drain — traffic served during
 	// that window must not disappear into the baseline).
 	newBaselines := installBaselines(taggers)
