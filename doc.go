@@ -205,10 +205,17 @@
 //     ascending pass over the document's non-zero entries instead of T dot
 //     products. The matrix is immutable derived data, rebuilt wherever the
 //     bank changes (retraining, Refine, serving Swap/Refresh).
-//   - Cached kernel norms: RBF KernelModels precompute their support
-//     vectors' squared norms (KernelModel.Precompute, called at every
-//     construction site) and hoist the query norm, so each kernel
-//     evaluation is a single sparse dot product.
+//   - Kernel bank: a CEMPaR super-peer packs its per-tag regional
+//     KernelModels into one svm.KernelBank at the end of every cascade.
+//     The tags' models share support-vector pointers, so the bank interns
+//     the distinct vectors, stores them as an inverted index (feature id
+//     -> support vector, value), computes one kernel row per query — work
+//     proportional to matching terms — and runs the per-tag sums over it,
+//     instead of one sparse dot and one exp per (tag, support vector)
+//     reference. Like FusedLinear it is immutable derived data.
+//     KernelModel.Decision (with its Precompute norm cache) remains what
+//     training-time calibration calls and the reference the bank is
+//     pinned against.
 //
 // Every stage is pinned byte-identical to the straightforward
 // implementation it replaced — reference copies of the seed tokenizer,
@@ -266,9 +273,10 @@
 //     APIs (AddNode/RemoveNode/Kill/Revive/ScheduleSystem) or the setup
 //     stream Rand — the PDES discipline, previously a runtime panic, as a
 //     compile-time diagnostic.
-//   - fusedmut: svm.FusedLinear is immutable outside NewFusedLinear (the
-//     rebuild-on-swap contract above), even when its backing memory is
-//     handed to a helper that mutates its parameter.
+//   - fusedmut: svm.FusedLinear and svm.KernelBank are immutable outside
+//     their constructors (the rebuild-on-swap contract above), even when
+//     their backing memory is handed to a helper that mutates its
+//     parameter.
 //   - lockdiscipline: no blocking operation (channel op, select,
 //     WaitGroup.Wait, sleep, network/file I/O — directly or through a
 //     callee whose summary blocks) while a mutex is held, no lock-order

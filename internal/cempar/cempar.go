@@ -94,11 +94,21 @@ type peerState struct {
 	lastSuperPeer simnet.NodeID
 	// Super-peer role: latest model set received from each peer.
 	collected map[simnet.NodeID]*modelsMsg
-	// Regional cascaded models per tag, with their pooled example counts
-	// and Platt calibration fitted on the pooled support examples.
-	regional       map[string]*svm.KernelModel
-	regionalWeight map[string]float64
-	regionalPlatt  map[string]svm.PlattParams
+	// Regional cascaded models per tag, and the same models packed for
+	// serving: bank scores every tag in one pass over a query, and platt
+	// (calibration fitted on the pooled support examples), weight (pooled
+	// example counts) and vote (what an answer carries: weight under
+	// cfg.Weighted, else all ones) are indexed like bank.Tags(). cascade
+	// replaces all of them together and never patches one in place, so an
+	// answer in flight keeps the slices it was built from.
+	regional map[string]*svm.KernelModel
+	bank     *svm.KernelBank
+	platt    []svm.PlattParams
+	weight   []float64
+	vote     []float64
+	// kernelRow is the bank's scoring scratch. A handler only ever runs as
+	// its own node, so it needs neither pooling nor a lock.
+	kernelRow      []float64
 	cascadePending bool
 	// Querying role: outstanding Predict aggregations. Kept per peer (not
 	// on the System) so answers and timeouts — which always execute at the
@@ -125,10 +135,13 @@ type queryMsg struct {
 	req    uint64
 }
 
+// answerMsg is one super-peer's vote. tags and weight are the answering
+// bank's shared, read-only slices; scores is the message's own.
 type answerMsg struct {
 	req    uint64
-	scores map[string]float64
-	weight map[string]float64
+	tags   []string
+	scores []float64
+	weight []float64
 }
 
 type pendingQuery struct {
@@ -161,13 +174,11 @@ func New(d *dht.DHT, cfg Config) *System {
 	}
 	for _, id := range d.Peers() {
 		s.peers[id] = &peerState{
-			id:             id,
-			lastSuperPeer:  -1,
-			collected:      make(map[simnet.NodeID]*modelsMsg),
-			regional:       make(map[string]*svm.KernelModel),
-			regionalWeight: make(map[string]float64),
-			regionalPlatt:  make(map[string]svm.PlattParams),
-			pending:        make(map[uint64]*pendingQuery),
+			id:            id,
+			lastSuperPeer: -1,
+			collected:     make(map[simnet.NodeID]*modelsMsg),
+			bank:          mustBank(nil),
+			pending:       make(map[uint64]*pendingQuery),
 		}
 	}
 	return s
@@ -419,17 +430,39 @@ func (s *System) cascade(self simnet.NodeID) {
 		}, m, 3)
 		return regionalModel{model: m, platt: platt, weight: w}, nil
 	})
+	// This is the one place regional models are installed, so every
+	// retrain, Refine and re-cascade rebuilds the bank. tags is sorted, so
+	// appending in its order lines the slices up with bank.Tags().
 	p.regional = make(map[string]*svm.KernelModel, len(tags))
-	p.regionalWeight = make(map[string]float64, len(tags))
-	p.regionalPlatt = make(map[string]svm.PlattParams, len(tags))
+	p.platt, p.weight = nil, nil
 	for i, tag := range tags {
 		if merged[i].model == nil {
 			continue
 		}
 		p.regional[tag] = merged[i].model
-		p.regionalWeight[tag] = merged[i].weight
-		p.regionalPlatt[tag] = merged[i].platt
+		p.platt = append(p.platt, merged[i].platt)
+		p.weight = append(p.weight, merged[i].weight)
 	}
+	p.vote = p.weight
+	if !s.cfg.Weighted {
+		p.vote = make([]float64, len(p.weight))
+		for i := range p.vote {
+			p.vote[i] = 1
+		}
+	}
+	p.bank = mustBank(p.regional)
+	p.kernelRow = make([]float64, p.bank.NumSVs())
+}
+
+// mustBank packs regional models for serving. Every model a cascade sees
+// was trained with cfg.Kernel, so packing can only fail on a cfg.Kernel of
+// unknown kind — a configuration bug.
+func mustBank(models map[string]*svm.KernelModel) *svm.KernelBank {
+	b, err := svm.NewKernelBank(models)
+	if err != nil {
+		panic("cempar: " + err.Error())
+	}
+	return b
 }
 
 // sampleModel wraps raw labeled documents as a degenerate kernel model so
@@ -491,25 +524,18 @@ func (s *System) Predict(from simnet.NodeID, x *vector.Sparse, cb func([]metrics
 	s.net.Schedule(from, s.cfg.QueryTimeout, func() { s.finalize(from, req) })
 }
 
-// onQuery evaluates the regional models at a super-peer and replies.
+// onQuery evaluates the regional bank at a super-peer and replies.
 func (s *System) onQuery(self simnet.NodeID, q queryMsg) {
 	p := s.peers[self]
-	ans := answerMsg{
-		req:    q.req,
-		scores: make(map[string]float64, len(p.regional)),
-		weight: make(map[string]float64, len(p.regional)),
+	// The scores travel with the answer, so they are allocated per query;
+	// only the kernel row is scratch.
+	scores := p.bank.DecisionsInto(q.x, make([]float64, p.bank.NumTags()), p.kernelRow)
+	for i, d := range scores {
+		scores[i] = p.platt[i].Prob(d)
 	}
-	for tag, m := range p.regional {
-		ans.scores[tag] = p.regionalPlatt[tag].Prob(m.Decision(q.x))
-		if s.cfg.Weighted {
-			ans.weight[tag] = p.regionalWeight[tag]
-		} else {
-			ans.weight[tag] = 1
-		}
-	}
-	size := 16 + 20*len(ans.scores)
 	s.net.Send(simnet.Message{
-		From: self, To: q.origin, Kind: "cempar.answer", Size: size, Payload: ans,
+		From: self, To: q.origin, Kind: "cempar.answer", Size: 16 + 20*len(scores),
+		Payload: answerMsg{req: q.req, tags: p.bank.Tags(), scores: scores, weight: p.vote},
 	})
 }
 
@@ -519,9 +545,9 @@ func (s *System) onAnswer(self simnet.NodeID, a answerMsg) {
 	if !ok || pq.done {
 		return
 	}
-	for tag, sc := range a.scores {
-		w := a.weight[tag]
-		pq.scoreSum[tag] += w * sc
+	for i, tag := range a.tags {
+		w := a.weight[i]
+		pq.scoreSum[tag] += w * a.scores[i]
 		pq.weightSum[tag] += w
 	}
 	pq.received++
@@ -586,5 +612,6 @@ func (s *System) DebugRegional(id simnet.NodeID, tag string, x *vector.Sparse) (
 	if !ok {
 		return 0, svm.PlattParams{}, 0, false
 	}
-	return m.Decision(x), p.regionalPlatt[tag], p.regionalWeight[tag], true
+	i := sort.SearchStrings(p.bank.Tags(), tag)
+	return m.Decision(x), p.platt[i], p.weight[i], true
 }

@@ -1,6 +1,9 @@
 package cempar
 
 import (
+	"math"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -32,6 +35,13 @@ func tagOf(topic int) string { return []string{"music", "travel", "food"}[topic]
 // documents of topic i%3.
 func build(t *testing.T, n int, cfg Config) (*simnet.Network, *System) {
 	t.Helper()
+	return buildTapped(t, n, cfg, func(simnet.Message) {})
+}
+
+// buildTapped is build with tap observing every application message just
+// before the protocol handles it.
+func buildTapped(t *testing.T, n int, cfg Config, tap func(simnet.Message)) (*simnet.Network, *System) {
+	t.Helper()
 	net := simnet.New(simnet.Options{Latency: simnet.FixedLatency(5 * time.Millisecond), Seed: 1})
 	ids := make([]simnet.NodeID, n)
 	for i := range ids {
@@ -41,6 +51,7 @@ func build(t *testing.T, n int, cfg Config) (*simnet.Network, *System) {
 	ring := dht.New(net, ids, func(id simnet.NodeID) simnet.Handler {
 		return simnet.HandlerFunc(func(nn *simnet.Network, m simnet.Message) {
 			if s != nil {
+				tap(m)
 				s.Handler(id).HandleMessage(nn, m)
 			}
 		})
@@ -246,5 +257,127 @@ func TestString(t *testing.T) {
 	_, s := build(t, 4, Config{Regions: 2, Seed: 1})
 	if s.String() == "" || s.Name() != "CEMPaR" {
 		t.Error("bad name/string")
+	}
+}
+
+// answersTo runs one query and returns the super-peer answers it drew, as
+// delivered to the origin.
+func answersTo(t *testing.T, net *simnet.Network, s *System, answers *[]simnet.Message, from simnet.NodeID, x *vector.Sparse) []simnet.Message {
+	t.Helper()
+	*answers = nil
+	if _, ok := predict(t, net, s, from, x); !ok {
+		t.Fatal("prediction failed")
+	}
+	if len(*answers) == 0 {
+		t.Fatal("no super-peer answered")
+	}
+	return *answers
+}
+
+// tapAnswers collects the cempar.answer messages a deployment delivers.
+func tapAnswers(answers *[]simnet.Message) func(simnet.Message) {
+	return func(m simnet.Message) {
+		if m.Kind == "cempar.answer" {
+			*answers = append(*answers, m)
+		}
+	}
+}
+
+// checkAnswer pins one answer to the per-tag reference: every tag the
+// super-peer holds a regional model for is answered, with exactly the
+// calibrated KernelModel.Decision and the configured vote weight.
+func checkAnswer(t *testing.T, s *System, weighted bool, m simnet.Message, x *vector.Sparse) {
+	t.Helper()
+	a := m.Payload.(answerMsg)
+	if len(a.tags) != s.RegionalTagCount(m.From) || len(a.scores) != len(a.tags) || len(a.weight) != len(a.tags) {
+		t.Fatalf("super-peer %d answered %d tags, %d scores, %d weights for %d regional models",
+			m.From, len(a.tags), len(a.scores), len(a.weight), s.RegionalTagCount(m.From))
+	}
+	for i, tag := range a.tags {
+		dec, platt, weight, ok := s.DebugRegional(m.From, tag, x)
+		if !ok {
+			t.Fatalf("super-peer %d answered tag %q it has no regional model for", m.From, tag)
+		}
+		if want := platt.Prob(dec); math.Float64bits(a.scores[i]) != math.Float64bits(want) {
+			t.Errorf("super-peer %d tag %q: answered %v, reference %v", m.From, tag, a.scores[i], want)
+		}
+		if !weighted {
+			weight = 1
+		}
+		if a.weight[i] != weight {
+			t.Errorf("super-peer %d tag %q: vote weight %v, want %v", m.From, tag, a.weight[i], weight)
+		}
+	}
+}
+
+// TestRegionalBankMatchesReference: what a super-peer answers from its
+// kernel bank equals, bit for bit, Platt.Prob of the per-tag
+// KernelModel.Decision that DebugRegional still evaluates — for every
+// super-peer, tag and query, weighted and unweighted.
+func TestRegionalBankMatchesReference(t *testing.T) {
+	for _, weighted := range []bool{true, false} {
+		var answers []simnet.Message
+		net, s := buildTapped(t, 12, Config{Regions: 3, Weighted: weighted, Seed: 3}, tapAnswers(&answers))
+		s.Fit()
+		net.RunFor(time.Minute)
+		queries := []*vector.Sparse{
+			vector.Zero(),
+			vector.FromMap(map[int32]float64{300: 1}), // no feature any support vector carries
+		}
+		for topic := 0; topic < 3; topic++ {
+			for v := 0; v < 8; v++ {
+				queries = append(queries, topicDoc(topic, v).X)
+			}
+		}
+		answered := map[simnet.NodeID]bool{}
+		for qi, x := range queries {
+			for _, m := range answersTo(t, net, s, &answers, simnet.NodeID(qi%12), x) {
+				answered[m.From] = true
+				checkAnswer(t, s, weighted, m, x)
+			}
+		}
+		for _, sp := range s.SuperPeers() {
+			if !answered[sp] {
+				t.Errorf("super-peer %d never answered", sp)
+			}
+		}
+	}
+}
+
+// TestBankRebuiltAfterRefine: a refinement that introduces a brand-new tag
+// reaches the serving path — after the re-cascade every peer's bank lists
+// exactly its regional models' tags, and the new tag is answered with the
+// reference score. A bank left over from the previous cascade fails this.
+func TestBankRebuiltAfterRefine(t *testing.T) {
+	var answers []simnet.Message
+	net, s := buildTapped(t, 9, Config{Regions: 2, Seed: 3}, tapAnswers(&answers))
+	s.Fit()
+	net.RunFor(time.Minute)
+	x := vector.FromMap(map[int32]float64{200: 1, 201: 1}).Normalize()
+	answersQuantum := func() bool {
+		found := false
+		for _, m := range answersTo(t, net, s, &answers, 4, x) {
+			checkAnswer(t, s, false, m, x)
+			found = found || slices.Contains(m.Payload.(answerMsg).tags, "quantum")
+		}
+		return found
+	}
+	if answersQuantum() {
+		t.Fatal("tag answered before it was ever trained")
+	}
+	s.Refine(3, protocol.Doc{X: x, Tags: []string{"quantum"}})
+	net.RunFor(time.Minute) // well past SettleDelay: the super-peer has re-cascaded
+	for id, p := range s.peers {
+		var want []string
+		for tag := range p.regional {
+			want = append(want, tag)
+		}
+		sort.Strings(want)
+		if got := p.bank.Tags(); !slices.Equal(got, want) {
+			t.Fatalf("peer %d: bank tags %v, regional models %v", id, got, want)
+		}
+	}
+	if !answersQuantum() {
+		t.Error("refined tag never reached a super-peer's bank")
 	}
 }

@@ -11,8 +11,8 @@
 //	                borrowing call
 //	enginerules     PDES engine rules: no engine mutation from node event
 //	                handlers
-//	fusedmut        fast-path rules: svm.FusedLinear is immutable after
-//	                construction
+//	fusedmut        fast-path rules: svm.FusedLinear and svm.KernelBank
+//	                are immutable after construction
 //	lockdiscipline  concurrency rules: no blocking op while a mutex is
 //	                held, no lock-order inversions, no lock-value copies
 //	goroleak        drain contracts: every spawned goroutine has a join

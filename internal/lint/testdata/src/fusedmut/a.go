@@ -1,5 +1,6 @@
-// Fixture for dmtvet/fusedmut: the FusedLinear score matrix is immutable
-// outside its constructor. The fixture declares a structural twin of
+// Fixture for dmtvet/fusedmut: the FusedLinear score matrix (and its
+// kernel sibling KernelBank, at the end) is immutable outside its
+// constructor. The fixture declares a structural twin of
 // svm.FusedLinear (the analyzer matches the type by name, because the
 // real type's fields are unexported and unreachable from a fixture
 // package) plus the constructor and accessor shapes of the real API.
@@ -113,4 +114,31 @@ func sumRows(rows []float64) float64 {
 
 func okHelperReads(f *FusedLinear) float64 {
 	return sumRows(f.rows)
+}
+
+// --- KernelBank: the kernel sibling obeys the same contract ---
+
+type KernelBank struct {
+	tags  []string
+	norms []float64
+}
+
+// NewKernelBank is the one place allowed to write KernelBank fields.
+func NewKernelBank(tags []string, svs int) *KernelBank {
+	b := &KernelBank{tags: tags}
+	b.norms = make([]float64, svs)
+	for i := range b.norms {
+		b.norms[i] = 1
+	}
+	return b
+}
+
+func (b *KernelBank) Tags() []string { return b.tags }
+
+func patchBankNorm(b *KernelBank) {
+	b.norms[0] = 2 // want `write to KernelBank backing array element outside NewKernelBank`
+}
+
+func rebuildBank(tags []string) *KernelBank {
+	return NewKernelBank(tags, 4) // every cascade constructs a fresh bank
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/vector"
 )
 
 // Allocation-regression pins for the inference hot path (build-gated out
@@ -77,5 +79,24 @@ func TestKernelDecisionZeroAlloc(t *testing.T) {
 	got := testing.AllocsPerRun(200, func() { m.Decision(doc) })
 	if got > 0 {
 		t.Errorf("Decision: %.1f allocs/op, want 0", got)
+	}
+}
+
+// TestKernelBankZeroAlloc: scoring a whole kernel bank into a reused
+// result buffer and kernel-row scratch allocates nothing per query.
+func TestKernelBankZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	bank := randKernelBank(rng, Kernel{Kind: KernelRBF, Gamma: 1}, 16, 64, 1,
+		func() *vector.Sparse { return randSparse(rng, 256, 30) })
+	b, err := NewKernelBank(bank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := randSparse(rng, 256, 40)
+	dst := make([]float64, b.NumTags())
+	scratch := make([]float64, b.NumSVs())
+	got := testing.AllocsPerRun(200, func() { dst = b.DecisionsInto(doc, dst, scratch) })
+	if got > 0 {
+		t.Errorf("DecisionsInto: %.1f allocs/op, want 0", got)
 	}
 }

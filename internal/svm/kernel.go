@@ -43,13 +43,25 @@ type Kernel struct {
 
 // Eval computes k(a, b).
 func (k Kernel) Eval(a, b *vector.Sparse) float64 {
+	var an, bn float64
+	if k.Kind == KernelRBF {
+		an, bn = a.SquaredNorm(), b.SquaredNorm()
+	}
+	return k.fromDot(a.Dot(b), an, bn)
+}
+
+// fromDot turns the inner product <a, b> and the two squared norms (read
+// only by RBF) into the kernel value. Eval, KernelModel.Decision and
+// KernelBank.DecisionsInto all evaluate the kernel through this one
+// expression, which is what keeps them bit-identical to each other.
+func (k Kernel) fromDot(dot, an, bn float64) float64 {
 	gamma := k.Gamma
 	if gamma == 0 {
 		gamma = 1
 	}
 	switch k.Kind {
 	case KernelRBF:
-		d := a.SquaredNorm() + b.SquaredNorm() - 2*a.Dot(b)
+		d := an + bn - 2*dot
 		if d < 0 {
 			d = 0
 		}
@@ -64,9 +76,9 @@ func (k Kernel) Eval(a, b *vector.Sparse) float64 {
 		if deg == 0 {
 			deg = 3
 		}
-		return math.Pow(gamma*a.Dot(b)+k.Coef0, float64(deg))
+		return math.Pow(gamma*dot+k.Coef0, float64(deg))
 	default:
-		return a.Dot(b)
+		return dot
 	}
 }
 
@@ -112,41 +124,28 @@ func (m *KernelModel) Precompute() {
 // norms come from the Precompute cache, turning each kernel evaluation
 // into a single sparse dot product; the floating-point operation order is
 // unchanged from the naive evaluation, so decision values are
-// bit-identical (pinned by the svm tests).
+// bit-identical (pinned by the svm tests). Serving scores whole per-tag
+// banks through KernelBank instead; Decision is what training-time
+// calibration calls and the reference the bank is pinned against.
 func (m *KernelModel) Decision(x *vector.Sparse) float64 {
-	if m.Kernel.Kind == KernelRBF {
-		gamma := m.Kernel.Gamma
-		if gamma == 0 {
-			gamma = 1
-		}
-		xn := x.SquaredNorm()
-		norms := m.svNorms
-		if len(norms) != len(m.SVs) {
-			norms = nil
-		}
-		sum := m.Bias
-		for i, sv := range m.SVs {
-			svn := 0.0
-			if norms != nil {
-				svn = norms[i]
-			} else {
-				svn = sv.X.SquaredNorm()
-			}
-			d := svn + xn - 2*sv.X.Dot(x)
-			if d < 0 {
-				d = 0
-			}
-			k := 0.0
-			if !math.IsNaN(d) {
-				k = math.Exp(-gamma * d)
-			}
-			sum += sv.Coeff * k
-		}
-		return sum
+	rbf := m.Kernel.Kind == KernelRBF
+	var xn float64
+	if rbf {
+		xn = x.SquaredNorm()
+	}
+	norms := m.svNorms
+	if len(norms) != len(m.SVs) {
+		norms = nil
 	}
 	sum := m.Bias
-	for _, sv := range m.SVs {
-		sum += sv.Coeff * m.Kernel.Eval(sv.X, x)
+	for i, sv := range m.SVs {
+		var svn float64
+		if norms != nil {
+			svn = norms[i]
+		} else if rbf {
+			svn = sv.X.SquaredNorm()
+		}
+		sum += sv.Coeff * m.Kernel.fromDot(sv.X.Dot(x), svn, xn)
 	}
 	return sum
 }

@@ -259,6 +259,11 @@ func ReadKernelModel(r io.Reader) (*svm.KernelModel, error) {
 			return nil, fmt.Errorf("%w: kernel header: %v", ErrCorrupt, err)
 		}
 	}
+	// Checked as the unsigned header word: converted first, 0xFFFF…FFFF
+	// would become KernelKind(-1) and pass a signed upper-bound test.
+	if hdr[0] > uint64(svm.KernelPoly) {
+		return nil, fmt.Errorf("%w: kernel kind %d", ErrCorrupt, hdr[0])
+	}
 	m := &svm.KernelModel{
 		Kernel: svm.Kernel{
 			Kind:   svm.KernelKind(hdr[0]),
@@ -267,9 +272,6 @@ func ReadKernelModel(r io.Reader) (*svm.KernelModel, error) {
 			Degree: int(hdr[3]),
 		},
 		Bias: math.Float64frombits(hdr[4]),
-	}
-	if m.Kernel.Kind > svm.KernelPoly {
-		return nil, fmt.Errorf("%w: kernel kind %d", ErrCorrupt, m.Kernel.Kind)
 	}
 	var n uint32
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {

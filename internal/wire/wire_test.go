@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -169,6 +171,33 @@ func TestKernelModelCorruptKind(t *testing.T) {
 	}
 }
 
+// TestReadKernelModelRejectsOutOfRangeKind: the kind header is a uint64 on
+// the wire; values that wrap negative when converted to the signed
+// KernelKind must be refused like any other unknown kind, not decoded into
+// a model that silently scores as linear.
+func TestReadKernelModelRejectsOutOfRangeKind(t *testing.T) {
+	for _, kind := range []uint64{math.MaxUint64, 1 << 63, uint64(svm.KernelPoly) + 1} {
+		if _, err := ReadKernelModel(bytes.NewReader(kernelFrameWithKind(kind))); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("kind %#x accepted: %v", kind, err)
+		}
+	}
+	if _, err := ReadKernelModel(bytes.NewReader(kernelFrameWithKind(uint64(svm.KernelPoly)))); err != nil {
+		t.Errorf("largest valid kind refused: %v", err)
+	}
+}
+
+// kernelFrameWithKind encodes a one-SV kernel model and overwrites its kind
+// header word.
+func kernelFrameWithKind(kind uint64) []byte {
+	m := &svm.KernelModel{Kernel: svm.Kernel{Kind: svm.KernelRBF, Gamma: 1}}
+	m.SVs = append(m.SVs, svm.SupportVector{X: vector.FromMap(map[int32]float64{0: 1}), Coeff: 1})
+	var buf bytes.Buffer
+	_ = WriteKernelModel(&buf, m)
+	data := buf.Bytes()
+	binary.LittleEndian.PutUint64(data, kind)
+	return data
+}
+
 func TestTaggedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	v := randVec(rng, 30)
@@ -218,12 +247,9 @@ func FuzzReadVector(f *testing.F) {
 
 // FuzzReadKernelModel ensures arbitrary bytes never panic the decoder.
 func FuzzReadKernelModel(f *testing.F) {
-	m := &svm.KernelModel{Kernel: svm.Kernel{Kind: svm.KernelRBF, Gamma: 1}}
-	m.SVs = append(m.SVs, svm.SupportVector{X: vector.FromMap(map[int32]float64{0: 1}), Coeff: 1})
-	var buf bytes.Buffer
-	_ = WriteKernelModel(&buf, m)
-	f.Add(buf.Bytes())
+	f.Add(kernelFrameWithKind(uint64(svm.KernelRBF)))
 	f.Add([]byte{})
+	f.Add(kernelFrameWithKind(math.MaxUint64)) // wraps to KernelKind(-1)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		km, err := ReadKernelModel(bytes.NewReader(data))
 		if err != nil {
@@ -231,6 +257,9 @@ func FuzzReadKernelModel(f *testing.F) {
 		}
 		if km == nil {
 			t.Fatal("nil model without error")
+		}
+		if k := km.Kernel.Kind; k < svm.KernelLinear || k > svm.KernelPoly {
+			t.Fatalf("decoded unknown kernel kind %v", k)
 		}
 		total := 0
 		for _, sv := range km.SVs {
