@@ -16,6 +16,7 @@ func TestA1Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "A1", tbl)
 	if len(tbl.Rows) != 7 {
 		t.Fatalf("rows = %d, want one per variant", len(tbl.Rows))
 	}
@@ -40,6 +41,7 @@ func TestA2Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "A2", tbl)
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("rows = %d, want one per weighting scheme", len(tbl.Rows))
 	}
@@ -61,6 +63,7 @@ func TestA3Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "A3", tbl)
 	if len(tbl.Rows) != 8 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -77,6 +80,7 @@ func TestA4Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "A4", tbl)
 	if len(tbl.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}

@@ -14,6 +14,7 @@ func TestE1Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "E1", tbl)
 	if len(tbl.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -46,6 +47,7 @@ func TestE2Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "E2", tbl)
 	// PACE rows must report zero query bytes.
 	for _, row := range tbl.Rows {
 		if row[1] == "PACE" && row[6] != "0B" {
@@ -62,6 +64,7 @@ func TestE3Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "E3", tbl)
 	// CEMPaR accuracy at 40% labels should beat its accuracy at 5%.
 	var low, high float64
 	for _, row := range tbl.Rows {
@@ -88,6 +91,7 @@ func TestE4Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "E4", tbl)
 	// PACE must fail no issued queries at any churn level.
 	for _, row := range tbl.Rows {
 		if row[1] == "PACE" && row[3] != "0" {
@@ -104,6 +108,7 @@ func TestE5Runs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "E5", tbl)
 	if len(tbl.Rows) != 8 {
 		t.Errorf("rows = %d", len(tbl.Rows))
 	}
@@ -117,6 +122,7 @@ func TestE6Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "E6", tbl)
 	// Local-only improves (or holds) as users specialize.
 	var diffuse, focused float64
 	for _, row := range tbl.Rows {
@@ -140,6 +146,7 @@ func TestE7Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "E7", tbl)
 	// Flood coverage must be complete; gossip cheaper than flood.
 	var floodMsgs, gossipMsgs float64
 	for _, row := range tbl.Rows {
@@ -163,6 +170,7 @@ func TestE8Runs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "E8", tbl)
 	if len(tbl.Rows) != 10 {
 		t.Errorf("rows = %d", len(tbl.Rows))
 	}
@@ -176,6 +184,7 @@ func TestE9Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "E9", tbl)
 	// Precision must not decrease as the threshold rises; recall must not
 	// increase. Allow small non-monotonic noise.
 	var prevP, prevR float64 = -1, 2
@@ -199,6 +208,7 @@ func TestE10Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "E10", tbl)
 	first := parseF(t, tbl.Rows[0][2])
 	last := parseF(t, tbl.Rows[len(tbl.Rows)-1][2])
 	if last < first {
@@ -211,6 +221,7 @@ func TestF4Runs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "F4", tbl)
 	if len(tbl.Rows) != 5 {
 		t.Errorf("rows = %d", len(tbl.Rows))
 	}
