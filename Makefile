@@ -1,7 +1,7 @@
 # Local targets mirror the CI job (.github/workflows/ci.yml) exactly, so
 # a green `make check` predicts a green required-checks run.
 
-.PHONY: build test race lint vet fuzz check bench benchdiff benchpair
+.PHONY: build test race lint vet fmt fuzz check bench benchdiff benchpair
 
 build:
 	go build ./...
@@ -15,6 +15,10 @@ race:
 
 vet:
 	go vet ./...
+
+# Formatting gate: any file gofmt would rewrite is a failure.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l reports:"; echo "$$out"; exit 1; }
 
 # dmtvet: the repo's custom determinism/safety analyzers (internal/lint),
 # a required CI step. Run it the same way CI does. Repeat runs are cheap:
@@ -32,7 +36,7 @@ fuzz:
 	go test ./internal/wire -run 'Fuzz' -count=1
 	go test ./internal/wire -run '^$$' -fuzz 'FuzzReadModelSet' -fuzztime 10s
 
-check: build vet lint race
+check: build vet fmt lint race
 
 # The repository's one benchmark harness (BENCHMARK.json: workloads,
 # metrics, run_seconds) — end-to-end numbers plus the per-layer ledger.

@@ -198,13 +198,19 @@
 //     allocations; terms new to the lexicon add O(1) amortized more).
 //     Workspaces must never escape the call that took them from the pool;
 //     everything handed to callers is copied out.
-//   - Fused multi-tag scoring: each protocol packs its per-tag linear
-//     models into one svm.FusedLinear inverted score matrix (feature id ->
-//     per-tag weights; CSR cells for sparse pruned ensembles, dense or
-//     8-wide blocked rows for shared-pool banks), so scoring T tags is one
-//     ascending pass over the document's non-zero entries instead of T dot
-//     products. The matrix is immutable derived data, rebuilt wherever the
-//     bank changes (retraining, Refine, serving Swap/Refresh).
+//   - One calibrated bank, fused multi-tag scoring: the baselines, PACE
+//     and the realnet mesh train (TrainBank: one-vs-all SVMs, a per-model
+//     post hook, cross-validated Platt), score (Bank.Probs/Score) and
+//     pool ensembles (Pool: the accuracy-weighted log-odds vote, scaled
+//     by PACE's proximity or realnet's trust) through protocol.Bank. A
+//     Bank packs its models into one svm.FusedLinear inverted score
+//     matrix (feature id -> per-tag weights; CSR cells for sparse pruned
+//     ensembles and narrow banks, 8-wide blocked rows for shared-pool
+//     banks), Platt and accuracy in the matrix's tag order, so scoring T
+//     tags is one ascending pass over the document's non-zero entries
+//     instead of T dot products. The matrix is immutable derived data,
+//     rebuilt wherever the bank changes (retraining, Refine, serving
+//     Swap/Refresh).
 //   - Kernel bank: a CEMPaR super-peer packs its per-tag regional
 //     KernelModels into one svm.KernelBank at the end of every cascade.
 //     The tags' models share support-vector pointers, so the bank interns
@@ -227,20 +233,21 @@
 //
 // The local score path chains those stages with no materialized
 // intermediates: Preprocessor.VectorizeInto hands the pooled, sorted,
-// weighted entries directly to FusedLinear.ScoreEntriesInto, and
-// protocol.SelectTagsInto thresholds out of reused scratch, so a whole
-// AutoTag runs in at most two allocations (the returned tags) and
+// weighted entries directly to protocol.Bank.Score (ScoreEntriesInto, then
+// Platt), and protocol.SelectTagsInto thresholds out of reused scratch, so
+// a whole AutoTag runs in at most two allocations (the returned tags) and
 // AutoTagBatch/serving.TagBatch stream documents with O(1) intermediate
 // state. Three contracts make it safe:
 //
-//   - Layout selection: NewFusedLinear keeps banks under 25% fill in CSR;
-//     denser banks with at least four tags use the blocked layout (rows
-//     zero-padded to multiples of eight, scored in register-resident
-//     accumulator blocks with bounds-check-free unrolled loops), scalar
-//     dense rows otherwise. NewFusedLinearLayout forces a layout.
-//   - Bit-identity: every layout accumulates each tag's partial sums over
+//   - Layout selection: NewFusedLinear puts banks of at least 25% fill
+//     and four tags in the blocked layout (rows zero-padded to multiples
+//     of eight, scored in register-resident accumulator blocks with
+//     bounds-check-free unrolled loops), everything else in CSR (on 1-3
+//     tags padding buys nothing). NewFusedLinearLayout forces a layout.
+//   - Bit-identity: both layouts accumulate each tag's partial sums over
 //     entries in ascending feature-id order and padding lanes only add
-//     v*0, so all three layouts reproduce per-tag Decision exactly.
+//     v*0, so both reproduce per-tag Decision exactly; Bank and Pool are
+//     pinned likewise on generated banks.
 //   - Scratch lifetime: the entries VectorizeInto passes to its visitor
 //     (and the scores a protocol.StreamScorer hands its callback) live in
 //     pooled scratch, valid only until the visit returns — consume or

@@ -13,7 +13,6 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/runner"
 	"repro/internal/simnet"
-	"repro/internal/svm"
 	"repro/internal/vector"
 )
 
@@ -23,9 +22,8 @@ type CentralizedConfig struct {
 	Coordinator simnet.NodeID
 	// C is the linear SVM penalty; default 1.
 	C float64
-	// QueryTimeout is unused by the simulator's lossless default paths but
-	// kept for symmetry; queries to a dead coordinator fail via lost
-	// messages and the caller's run horizon.
+	// Seed drives training. (There is no query timeout: a query lost in
+	// flight fails via the caller's run horizon, see Predict.)
 	Seed int64
 	// Parallel is the worker count for the coordinator's global training:
 	// the one-vs-all models are independent per tag, so they train
@@ -36,22 +34,19 @@ type CentralizedConfig struct {
 
 // Centralized is the centralized collaborative tagger.
 type Centralized struct {
-	cfg    CentralizedConfig
-	net    *simnet.Network
-	order  []simnet.NodeID
-	docs   map[simnet.NodeID][]protocol.Doc
-	pool   []protocol.Doc // coordinator's accumulated training data
-	dirty  bool           // pool changed since last training
-	models map[string]*svm.LinearModel
-	platt  map[string]svm.PlattParams
-	// fused packs the one-vs-all bank into a single inverted score matrix
-	// so a query scores every tag in one pass over its features (rebuilt
-	// by retrainIfDirty); scoreBuf is its reused output buffer — safe
-	// without a lock because all scoring happens either in the
-	// coordinator's handler (serial per node under the sharded simulator)
-	// or in Predict while the simulated clock is stopped.
-	fused    *svm.FusedLinear
-	scoreBuf []float64
+	cfg   CentralizedConfig
+	net   *simnet.Network
+	order []simnet.NodeID
+	docs  map[simnet.NodeID][]protocol.Doc
+	pool  []protocol.Doc // coordinator's accumulated training data
+	dirty bool           // pool changed since last training
+	// bank is the global one-vs-all bank (rebuilt by score); dec is its
+	// reused scoring scratch — safe without a lock because all scoring
+	// happens either in the coordinator's handler (serial per node under
+	// the sharded simulator) or in Predict while the simulated clock is
+	// stopped.
+	bank *protocol.Bank
+	dec  []float64
 	// scored is PredictEntries' reused answer slice: the streaming
 	// contract says cb consumes it synchronously, so one buffer serves
 	// every coordinator-origin query.
@@ -73,7 +68,7 @@ type centralQuery struct {
 
 type centralAnswer struct {
 	req    uint64
-	scores map[string]float64
+	scores []metrics.ScoredTag // in ascending tag order
 }
 
 // NewCentralized registers handlers for ids on net.
@@ -85,6 +80,7 @@ func NewCentralized(net *simnet.Network, ids []simnet.NodeID, cfg CentralizedCon
 		cfg:     cfg,
 		net:     net,
 		docs:    make(map[simnet.NodeID][]protocol.Doc),
+		bank:    &protocol.Bank{},
 		pending: make(map[simnet.NodeID]map[uint64]func([]metrics.ScoredTag, bool), len(ids)),
 		nextReq: make(map[simnet.NodeID]uint64, len(ids)),
 	}
@@ -146,15 +142,8 @@ func (c *Centralized) handle(self simnet.NodeID, m simnet.Message) {
 		if self != c.cfg.Coordinator {
 			return
 		}
-		c.retrainIfDirty()
 		q := m.Payload.(centralQuery)
-		scores := make(map[string]float64, len(c.models))
-		if c.fused != nil {
-			c.scoreBuf = c.fused.ScoreInto(q.x, c.scoreBuf)
-			for i, tag := range c.fused.Tags() {
-				scores[tag] = c.platt[tag].Prob(c.scoreBuf[i])
-			}
-		}
+		scores := c.score(q.x.Entries(), nil)
 		c.net.Send(simnet.Message{
 			From: self, To: q.origin, Kind: "central.answer",
 			Size:    16 + 12*len(scores),
@@ -167,81 +156,42 @@ func (c *Centralized) handle(self simnet.NodeID, m simnet.Message) {
 			return
 		}
 		delete(c.pending[self], a.req)
-		out := make([]metrics.ScoredTag, 0, len(a.scores))
-		for tag, sc := range a.scores {
-			out = append(out, metrics.ScoredTag{Tag: tag, Score: sc})
-		}
-		// Canonical tag order: every downstream consumer re-sorts with a
-		// full tie-break, but the callback contract itself should not
-		// leak map iteration order (dmtvet/maprange).
-		sort.Slice(out, func(i, j int) bool { return out[i].Tag < out[j].Tag })
-		cb(out, true)
+		cb(a.scores, true)
 	}
 }
 
-// retrainIfDirty rebuilds the global one-vs-all models from the
-// accumulated pool when uploads arrived since the last training run. Real
-// systems would train incrementally; deferring one batch retrain to the
-// first query is equivalent under the simulator (which charges no CPU
-// time) and avoids quadratic retraining during Fit.
-func (c *Centralized) retrainIfDirty() {
-	if !c.dirty {
-		return
+// score answers one query at the coordinator — every tag of the global
+// bank, in ascending tag order, appended to dst[:0] (nil for a fresh slice
+// the answer may keep) — first rebuilding the bank from the accumulated
+// pool if uploads arrived since the last query. Real systems would train
+// incrementally; deferring one batch retrain to the first query is
+// equivalent under the simulator (which charges no CPU time) and avoids
+// quadratic retraining during Fit.
+func (c *Centralized) score(entries []vector.Entry, dst []metrics.ScoredTag) []metrics.ScoredTag {
+	if c.dirty {
+		c.dirty = false
+		c.bank = protocol.TrainBank(c.pool, c.cfg.C, c.cfg.Seed, c.cfg.Parallel, nil)
 	}
-	c.dirty = false
-	// Each tag is an independent one-vs-all problem over the shared
-	// read-only pool, so the tags train concurrently; results install
-	// serially in sorted-tag order, identical at any worker count.
-	tags := protocol.TagUniverse(c.pool)
-	type trained struct {
-		model *svm.LinearModel
-		platt svm.PlattParams
-	}
-	models, _ := runner.Map(len(tags), c.cfg.Parallel, func(i int) (trained, error) {
-		exs := protocol.BinaryExamples(c.pool, tags[i])
-		m, err := svm.TrainLinear(exs, svm.LinearOptions{C: c.cfg.C, Seed: c.cfg.Seed})
-		if err != nil {
-			return trained{}, nil
-		}
-		platt, _ := svm.CalibrateLinearCV(exs,
-			svm.LinearOptions{C: c.cfg.C, Seed: c.cfg.Seed}, m, 3)
-		return trained{model: m, platt: platt}, nil
-	})
-	c.models = make(map[string]*svm.LinearModel, len(tags))
-	c.platt = make(map[string]svm.PlattParams, len(tags))
-	for i, tag := range tags {
-		if models[i].model == nil {
-			continue
-		}
-		c.models[tag] = models[i].model
-		c.platt[tag] = models[i].platt
-	}
-	c.fused = svm.NewFusedLinear(c.models)
+	dst, c.dec = c.bank.Score(entries, c.dec, dst)
+	return dst
 }
 
 // Predict implements protocol.Classifier: the vector travels to the
-// coordinator and the scored answer returns. When the coordinator is down
-// the query is lost — the single point of failure the paper highlights —
-// and cb fires with ok=false after the run drains (via a scheduled check).
+// coordinator and the scored answer returns. A coordinator (or origin)
+// that is already down fails the query at once: cb fires with ok=false
+// before Predict returns — the single point of failure the paper
+// highlights. A query lost after that — a dropped message, or a
+// coordinator that dies with the query in flight — is never answered and
+// cb never fires: nothing times it out, so callers must treat a callback
+// still unfired once the network has drained as a failed query (p2pdmt's
+// evaluation and doctagger.Tagger both do).
 func (c *Centralized) Predict(from simnet.NodeID, x *vector.Sparse, cb func([]metrics.ScoredTag, bool)) {
-	if !c.net.Alive(from) {
-		cb(nil, false)
-		return
-	}
-	if !c.net.Alive(c.cfg.Coordinator) {
+	if !c.net.Alive(from) || !c.net.Alive(c.cfg.Coordinator) {
 		cb(nil, false)
 		return
 	}
 	if from == c.cfg.Coordinator {
-		c.retrainIfDirty()
-		scores := make([]metrics.ScoredTag, 0, len(c.models))
-		if c.fused != nil {
-			c.scoreBuf = c.fused.ScoreInto(x, c.scoreBuf)
-			for i, tag := range c.fused.Tags() {
-				scores = append(scores, metrics.ScoredTag{Tag: tag, Score: c.platt[tag].Prob(c.scoreBuf[i])})
-			}
-		}
-		cb(scores, true)
+		cb(c.score(x.Entries(), nil), true)
 		return
 	}
 	req := c.nextReq[from]
@@ -268,29 +218,12 @@ func (c *Centralized) StreamsFrom(from simnet.NodeID) bool {
 // are copied into a materialized vector and the query delegates to
 // Predict.
 func (c *Centralized) PredictEntries(from simnet.NodeID, entries []vector.Entry, cb func([]metrics.ScoredTag, bool)) {
-	if !c.net.Alive(from) || !c.net.Alive(c.cfg.Coordinator) {
-		cb(nil, false)
+	if from != c.cfg.Coordinator || !c.net.Alive(from) {
+		x := vector.Borrow(entries)
+		c.Predict(from, x.Clone(), cb)
 		return
 	}
-	if from != c.cfg.Coordinator {
-		e := make([]vector.Entry, len(entries))
-		copy(e, entries)
-		x, err := vector.FromEntries(e)
-		if err != nil {
-			cb(nil, false)
-			return
-		}
-		c.Predict(from, x, cb)
-		return
-	}
-	c.retrainIfDirty()
-	c.scored = c.scored[:0]
-	if c.fused != nil {
-		c.scoreBuf = c.fused.ScoreEntriesInto(entries, c.scoreBuf)
-		for i, tag := range c.fused.Tags() {
-			c.scored = append(c.scored, metrics.ScoredTag{Tag: tag, Score: c.platt[tag].Prob(c.scoreBuf[i])})
-		}
-	}
+	c.scored = c.score(entries, c.scored)
 	cb(c.scored, true)
 }
 
@@ -323,17 +256,15 @@ type Local struct {
 	// bit-identical at any worker count.
 	Parallel int
 
-	net    *simnet.Network
-	models map[simnet.NodeID]map[string]*svm.LinearModel
-	platt  map[simnet.NodeID]map[string]svm.PlattParams
-	docs   map[simnet.NodeID][]protocol.Doc
-	c      float64
-	seed   int64
-	// fused holds each peer's bank as an inverted score matrix (rebuilt
-	// with the models on Fit/Refine); scoreBuf is the reused scoring
-	// buffer — Predict runs serially per System, like every protocol here.
-	fused    map[simnet.NodeID]*svm.FusedLinear
-	scoreBuf []float64
+	net  *simnet.Network
+	docs map[simnet.NodeID][]protocol.Doc
+	c    float64
+	seed int64
+	// banks holds each peer's private bank (retrained on Fit/Refine); dec
+	// is the reused scoring scratch — Predict runs serially per System,
+	// like every protocol here.
+	banks map[simnet.NodeID]*protocol.Bank
+	dec   []float64
 	// scored is PredictEntries' reused answer slice (consumed
 	// synchronously by cb per the streaming contract).
 	scored []metrics.ScoredTag
@@ -346,13 +277,11 @@ func NewLocal(net *simnet.Network, ids []simnet.NodeID, c float64, seed int64) *
 		c = 1
 	}
 	l := &Local{
-		net:    net,
-		models: make(map[simnet.NodeID]map[string]*svm.LinearModel),
-		platt:  make(map[simnet.NodeID]map[string]svm.PlattParams),
-		docs:   make(map[simnet.NodeID][]protocol.Doc),
-		c:      c,
-		seed:   seed,
-		fused:  make(map[simnet.NodeID]*svm.FusedLinear),
+		net:   net,
+		docs:  make(map[simnet.NodeID][]protocol.Doc),
+		c:     c,
+		seed:  seed,
+		banks: make(map[simnet.NodeID]*protocol.Bank),
 	}
 	for _, id := range ids {
 		net.AddNode(id, simnet.HandlerFunc(func(*simnet.Network, simnet.Message) {}))
@@ -366,65 +295,41 @@ func (l *Local) SetDocs(id simnet.NodeID, docs []protocol.Doc) { l.docs[id] = do
 // Name implements protocol.Classifier.
 func (l *Local) Name() string { return "Local-only" }
 
-// Fit trains every peer's private models concurrently (each peer reads
-// only its own shard and the trained maps install serially afterwards, so
-// any worker count yields the same models). No traffic.
+// Fit trains every peer's private bank concurrently (each peer reads only
+// its own shard and the trained banks install serially afterwards, so any
+// worker count yields the same models). No traffic.
 func (l *Local) Fit() {
 	ids := make([]simnet.NodeID, 0, len(l.docs))
 	for id := range l.docs {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	type peerModels struct {
-		models map[string]*svm.LinearModel
-		platt  map[string]svm.PlattParams
-	}
-	trained, _ := runner.Map(len(ids), l.Parallel, func(i int) (peerModels, error) {
-		ms, ps := l.trainPeer(ids[i])
-		return peerModels{models: ms, platt: ps}, nil
+	trained, _ := runner.Map(len(ids), l.Parallel, func(i int) (*protocol.Bank, error) {
+		return l.trainPeer(ids[i]), nil
 	})
 	for i, id := range ids {
-		l.models[id] = trained[i].models
-		l.platt[id] = trained[i].platt
-		l.fused[id] = svm.NewFusedLinear(trained[i].models)
+		l.banks[id] = trained[i]
 	}
 }
 
-func (l *Local) trainPeer(id simnet.NodeID) (map[string]*svm.LinearModel, map[string]svm.PlattParams) {
-	docs := l.docs[id]
-	ms := make(map[string]*svm.LinearModel)
-	ps := make(map[string]svm.PlattParams)
-	for _, tag := range protocol.TagUniverse(docs) {
-		exs := protocol.BinaryExamples(docs, tag)
-		m, err := svm.TrainLinear(exs, svm.LinearOptions{C: l.c, Seed: l.seed + int64(id)})
-		if err != nil {
-			continue
-		}
-		ms[tag] = m
-		ps[tag], _ = svm.CalibrateLinearCV(exs,
-			svm.LinearOptions{C: l.c, Seed: l.seed + int64(id)}, m, 3)
+func (l *Local) trainPeer(id simnet.NodeID) *protocol.Bank {
+	return protocol.TrainBank(l.docs[id], l.c, l.seed+int64(id), 1, nil)
+}
+
+// score answers one query from its own peer's bank into dst[:0] (nil for a
+// fresh slice); ok is false for a dead peer or one that has no models.
+func (l *Local) score(from simnet.NodeID, entries []vector.Entry, dst []metrics.ScoredTag) ([]metrics.ScoredTag, bool) {
+	b := l.banks[from]
+	if !l.net.Alive(from) || b == nil || len(b.Models) == 0 {
+		return dst[:0], false
 	}
-	return ms, ps
+	dst, l.dec = b.Score(entries, l.dec, dst)
+	return dst, true
 }
 
 // Predict implements protocol.Classifier, synchronously and locally.
 func (l *Local) Predict(from simnet.NodeID, x *vector.Sparse, cb func([]metrics.ScoredTag, bool)) {
-	if !l.net.Alive(from) {
-		cb(nil, false)
-		return
-	}
-	fu := l.fused[from]
-	if fu == nil {
-		cb(nil, false)
-		return
-	}
-	l.scoreBuf = fu.ScoreInto(x, l.scoreBuf)
-	out := make([]metrics.ScoredTag, 0, fu.NumTags())
-	platt := l.platt[from]
-	for i, tag := range fu.Tags() {
-		out = append(out, metrics.ScoredTag{Tag: tag, Score: platt[tag].Prob(l.scoreBuf[i])})
-	}
-	cb(out, true)
+	cb(l.score(from, x.Entries(), nil))
 }
 
 // StreamsFrom implements protocol.StreamScorer: Local answers every query
@@ -435,27 +340,13 @@ func (l *Local) StreamsFrom(simnet.NodeID) bool { return true }
 // scores, computed straight off the borrowed entries into reused scratch.
 // The scores handed to cb are valid only during the call.
 func (l *Local) PredictEntries(from simnet.NodeID, entries []vector.Entry, cb func([]metrics.ScoredTag, bool)) {
-	if !l.net.Alive(from) {
-		cb(nil, false)
-		return
-	}
-	fu := l.fused[from]
-	if fu == nil {
-		cb(nil, false)
-		return
-	}
-	l.scoreBuf = fu.ScoreEntriesInto(entries, l.scoreBuf)
-	l.scored = l.scored[:0]
-	platt := l.platt[from]
-	for i, tag := range fu.Tags() {
-		l.scored = append(l.scored, metrics.ScoredTag{Tag: tag, Score: platt[tag].Prob(l.scoreBuf[i])})
-	}
-	cb(l.scored, true)
+	var ok bool
+	l.scored, ok = l.score(from, entries, l.scored)
+	cb(l.scored, ok)
 }
 
 // Refine implements protocol.Refiner locally.
 func (l *Local) Refine(peer simnet.NodeID, doc protocol.Doc) {
 	l.docs[peer] = append(l.docs[peer], doc)
-	l.models[peer], l.platt[peer] = l.trainPeer(peer)
-	l.fused[peer] = svm.NewFusedLinear(l.models[peer])
+	l.banks[peer] = l.trainPeer(peer)
 }

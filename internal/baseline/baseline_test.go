@@ -181,6 +181,35 @@ func TestCentralizedSinglePointOfFailure(t *testing.T) {
 	}
 }
 
+// TestCentralizedLostQueryNeverFires pins Predict's documented contract
+// for a query lost in flight: no timeout is scheduled, so the callback
+// stays unfired after the network drains — the caller's cue to count the
+// query failed — and the stranded request disturbs no later query from
+// the same origin.
+func TestCentralizedLostQueryNeverFires(t *testing.T) {
+	net, c := setupCentral(t, 6)
+	c.Fit()
+	net.RunFor(time.Minute)
+	lost := false
+	c.Predict(3, topicDoc(0, 0).X, func([]metrics.ScoredTag, bool) { lost = true })
+	net.Kill(0) // the coordinator dies with the query on the wire
+	net.RunFor(time.Minute)
+	if lost {
+		t.Fatal("a query dropped at the dead coordinator was answered")
+	}
+	net.Revive(0)
+	var scores []metrics.ScoredTag
+	ok := false
+	c.Predict(3, topicDoc(2, 1).X, func(sc []metrics.ScoredTag, o bool) { scores, ok = sc, o })
+	net.RunFor(time.Minute)
+	if lost {
+		t.Error("the lost query's callback fired on a later answer")
+	}
+	if !ok || protocol.SelectTags(scores, 0, 1)[0] != "food" {
+		t.Errorf("query after the coordinator returned: ok=%v scores=%v", ok, scores)
+	}
+}
+
 func TestCentralizedUploadCostDominatedByData(t *testing.T) {
 	net, c := setupCentral(t, 8)
 	c.Fit()

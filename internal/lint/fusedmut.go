@@ -213,11 +213,9 @@ func fusedAliased(info *types.Info, aliases map[types.Object]*fusedBank, e ast.E
 		return fusedAliased(info, aliases, e.X)
 	case *ast.CallExpr:
 		// A method on a bank returning a slice hands out backing
-		// memory (Tags); value-returning methods (Score with dst=nil
-		// allocates fresh) do not — except ScoreInto, whose result may
-		// reuse the caller's own dst, which is the caller's memory, not
-		// the matrix's. Only slice results of receiver methods with no
-		// arguments are treated as aliases.
+		// memory (Tags); ScoreEntriesInto's result is the caller's own
+		// dst (or fresh), never the matrix's. Only slice results of
+		// receiver methods with no arguments are treated as aliases.
 		if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok && len(e.Args) == 0 {
 			if t := info.TypeOf(e); t != nil {
 				if _, isSlice := t.Underlying().(*types.Slice); isSlice {

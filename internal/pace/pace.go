@@ -80,25 +80,19 @@ func (c *Config) defaults() {
 	}
 }
 
-// modelSet is what one peer publishes: its per-tag linear models with
-// their training accuracies, and its data centroids. fused is derived
-// data built once by the sender (after pruning/noising): the per-tag bank
-// packed into one inverted score matrix so a prediction scores every tag
-// of the set in a single pass over the document. It is read-only after
-// construction — receivers on any simulator shard share it safely — and
-// contributes nothing to the wire size.
+// modelSet is what one peer publishes: its calibrated per-tag bank (pruned
+// and noised before it leaves the peer) and its data centroids. The bank
+// is read-only after training, so receivers on any simulator shard share
+// it; its derived score matrix contributes nothing to the wire size.
 type modelSet struct {
 	from      simnet.NodeID
-	models    map[string]*svm.LinearModel
-	accuracy  map[string]float64
-	platt     map[string]svm.PlattParams
+	bank      *protocol.Bank
 	centroids []*vector.Sparse
-	fused     *svm.FusedLinear
 }
 
 func (ms *modelSet) wireSize() int {
 	n := 16
-	for tag, m := range ms.models {
+	for tag, m := range ms.bank.Models {
 		n += m.WireSize() + len(tag) + 8
 	}
 	for _, c := range ms.centroids {
@@ -139,7 +133,7 @@ type System struct {
 	index       *lsh.Index
 	centroidRef []centroidRef
 	indexed     map[simnet.NodeID]*indexedSet // per-sender index bookkeeping
-	scoreBuf    []float64                     // reused fused-scoring buffer (Predict is serial per System)
+	vote        protocol.Pool                 // reused ensemble vote (Predict is serial per System)
 }
 
 // indexedSet records which model-set version of a sender is in the shared
@@ -205,43 +199,40 @@ func (s *System) Fit() {
 		return nil
 	})
 	for _, id := range s.order {
-		p := s.peers[id]
-		if !s.net.Alive(id) || p.own == nil {
-			continue
+		if s.net.Alive(id) {
+			s.publish(id)
 		}
-		s.ingest(id, p.own) // index own models locally
-		size := p.own.wireSize()
-		for _, dst := range s.order {
-			if dst == id {
-				continue
-			}
+	}
+}
+
+// publish indexes a peer's freshly trained set locally and broadcasts it
+// to every other peer; a peer with nothing trained publishes nothing.
+func (s *System) publish(id simnet.NodeID) {
+	own := s.peers[id].own
+	if own == nil {
+		return
+	}
+	s.ingest(id, own)
+	size := own.wireSize()
+	for _, dst := range s.order {
+		if dst != id {
 			s.net.Send(simnet.Message{
-				From: id, To: dst, Kind: "pace.models", Size: size, Payload: p.own,
+				From: id, To: dst, Kind: "pace.models", Size: size, Payload: own,
 			})
 		}
 	}
 }
 
-// trainLocal fits a linear SVM per locally observed tag, measures its
-// training accuracy (the weight PACE ships with the model), and clusters
-// the local documents.
+// trainLocal fits a calibrated linear SVM per locally observed tag —
+// pruned and noised as configured, its cross-validated accuracy being the
+// weight PACE ships with the model — and clusters the local documents.
 func (s *System) trainLocal(id simnet.NodeID) {
 	p := s.peers[id]
 	if len(p.docs) == 0 {
 		return
 	}
-	ms := &modelSet{
-		from:     id,
-		models:   make(map[string]*svm.LinearModel),
-		accuracy: make(map[string]float64),
-		platt:    make(map[string]svm.PlattParams),
-	}
-	for _, tag := range protocol.TagUniverse(p.docs) {
-		exs := protocol.BinaryExamples(p.docs, tag)
-		m, err := svm.TrainLinear(exs, svm.LinearOptions{C: s.cfg.C, Seed: s.cfg.Seed + int64(id)})
-		if err != nil {
-			continue
-		}
+	ms := &modelSet{from: id}
+	ms.bank = protocol.TrainBank(p.docs, s.cfg.C, s.cfg.Seed+int64(id), 1, func(m *svm.LinearModel) *svm.LinearModel {
 		if s.cfg.PruneRel > 0 {
 			m = m.Pruned(s.cfg.PruneRel)
 		}
@@ -249,15 +240,8 @@ func (s *System) trainLocal(id simnet.NodeID) {
 			noiseRng := rand.New(rand.NewSource(s.cfg.Seed + 31*int64(id)))
 			m = m.Noised(s.cfg.NoiseScale, noiseRng)
 		}
-		ms.models[tag] = m
-		// The model's ensemble weight is its cross-validated accuracy —
-		// training accuracy is ~1 for every overfit small-data model and
-		// discriminates nothing.
-		platt, cvAcc := svm.CalibrateLinearCV(exs,
-			svm.LinearOptions{C: s.cfg.C, Seed: s.cfg.Seed + int64(id)}, m, 3)
-		ms.platt[tag] = platt
-		ms.accuracy[tag] = cvAcc
-	}
+		return m
+	})
 	xs := make([]*vector.Sparse, len(p.docs))
 	for i, d := range p.docs {
 		xs[i] = d.X
@@ -266,7 +250,6 @@ func (s *System) trainLocal(id simnet.NodeID) {
 	if err == nil {
 		ms.centroids = res.Centroids
 	}
-	ms.fused = svm.NewFusedLinear(ms.models)
 	p.own = ms
 }
 
@@ -391,8 +374,6 @@ func (s *System) Predict(from simnet.NodeID, x *vector.Sparse, cb func([]metrics
 		cb(nil, false)
 		return
 	}
-	logitSum := make(map[string]float64)
-	weightSum := make(map[string]float64)
 	// Vote in peer-id order so floating-point accumulation is
 	// deterministic across runs.
 	order := make([]simnet.NodeID, 0, len(chosen))
@@ -401,36 +382,12 @@ func (s *System) Predict(from simnet.NodeID, x *vector.Sparse, cb func([]metrics
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 	for _, id := range order {
-		sl := chosen[id]
-		if sl.ms.fused == nil {
-			continue
-		}
 		// Weight models "according to their accuracy and distance from
-		// the test data"; models no better than chance are excluded.
-		// The fused matrix scores every tag of the set in one pass over
-		// x; its Tags() are sorted, preserving the historical per-tag
-		// iteration order.
-		proximity := 1 / (1 + sl.dist)
-		s.scoreBuf = sl.ms.fused.ScoreInto(x, s.scoreBuf)
-		for i, tag := range sl.ms.fused.Tags() {
-			w := (sl.ms.accuracy[tag] - 0.5) * proximity
-			if w <= 0 {
-				continue
-			}
-			p := sl.ms.platt[tag].Prob(s.scoreBuf[i])
-			logitSum[tag] += w * logit(p)
-			weightSum[tag] += w
-		}
+		// the test data".
+		sl := chosen[id]
+		s.vote.Add(sl.ms.bank, x.Entries(), 1/(1+sl.dist))
 	}
-	out := make([]metrics.ScoredTag, 0, len(logitSum))
-	for tag, sum := range logitSum {
-		// Log-opinion pooling: average calibrated log-odds, then squash.
-		// Sharper than averaging probabilities, which dilutes confident
-		// minority votes toward 0.5.
-		out = append(out, metrics.ScoredTag{Tag: tag, Score: protocol.Sigmoid(sum / weightSum[tag])})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tag < out[j].Tag })
-	cb(out, true)
+	cb(s.vote.Scores(), true)
 }
 
 // StreamsFrom implements protocol.StreamScorer: PACE predicts entirely
@@ -455,19 +412,7 @@ func (s *System) Refine(peer simnet.NodeID, doc protocol.Doc) {
 		return
 	}
 	s.trainLocal(peer)
-	if p.own == nil {
-		return
-	}
-	s.ingest(peer, p.own)
-	size := p.own.wireSize()
-	for _, dst := range s.order {
-		if dst == peer {
-			continue
-		}
-		s.net.Send(simnet.Message{
-			From: peer, To: dst, Kind: "pace.models", Size: size, Payload: p.own,
-		})
-	}
+	s.publish(peer)
 }
 
 // ModelsKnown reports how many peers' model sets node id holds (including
@@ -481,23 +426,4 @@ func (s *System) String() string {
 		retrieval = "scan"
 	}
 	return fmt.Sprintf("PACE(k=%d clusters=%d retrieval=%s)", s.cfg.TopK, s.cfg.Clusters, retrieval)
-}
-
-// logit is the inverse of the logistic function, clamped for stability.
-func logit(p float64) float64 {
-	const cap = 6.0
-	if p < 1e-9 {
-		return -cap
-	}
-	if p > 1-1e-9 {
-		return cap
-	}
-	l := math.Log(p / (1 - p))
-	if l > cap {
-		return cap
-	}
-	if l < -cap {
-		return -cap
-	}
-	return l
 }

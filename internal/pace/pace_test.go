@@ -251,12 +251,3 @@ func TestString(t *testing.T) {
 		t.Error("retrieval mode should show in String")
 	}
 }
-
-func TestLogitClamps(t *testing.T) {
-	if logit(0) != -6 || logit(1) != 6 {
-		t.Errorf("logit bounds: %v %v", logit(0), logit(1))
-	}
-	if logit(0.5) != 0 {
-		t.Errorf("logit(0.5) = %v", logit(0.5))
-	}
-}

@@ -1,7 +1,10 @@
 // Package protocol defines the pluggable P2P classification interface of
 // P2PDocTagger ("the P2P classification algorithm in P2PDocTagger is a
-// pluggable component") together with helpers shared by its
-// implementations (CEMPaR, PACE and the centralized/local baselines).
+// pluggable component") together with what its implementations share:
+// the calibrated one-against-all linear bank (Bank, TrainBank) and the
+// ensemble vote over such banks (Pool) that PACE, the centralized/local
+// baselines and the realnet mesh all train, score and pool with, and the
+// tag-selection and multi-label → binary helpers CEMPaR uses too.
 package protocol
 
 import (
@@ -80,6 +83,18 @@ func SelectTags(scores []metrics.ScoredTag, threshold float64, maxTags int) []st
 	return tags
 }
 
+// ByScore orders scored tags by descending score with name tie-breaks —
+// the order of a suggestion cloud and of tag selection.
+func ByScore(a, b metrics.ScoredTag) int {
+	switch {
+	case a.Score > b.Score:
+		return -1
+	case a.Score < b.Score:
+		return 1
+	}
+	return strings.Compare(a.Tag, b.Tag)
+}
+
 // SelectTagsInto is SelectTags with caller-owned storage, for the
 // streaming batch path: the selected tags append into dst[:0] and the
 // sort runs in scratch (grown as needed), so a tagging loop reusing both
@@ -90,15 +105,7 @@ func SelectTags(scores []metrics.ScoredTag, threshold float64, maxTags int) []st
 // deterministic), same fallback, same nil result for empty scores.
 func SelectTagsInto(dst []string, scores []metrics.ScoredTag, scratch []metrics.ScoredTag, threshold float64, maxTags int) ([]string, []metrics.ScoredTag) {
 	scratch = append(scratch[:0], scores...)
-	slices.SortFunc(scratch, func(a, b metrics.ScoredTag) int {
-		switch {
-		case a.Score > b.Score:
-			return -1
-		case a.Score < b.Score:
-			return 1
-		}
-		return strings.Compare(a.Tag, b.Tag)
-	})
+	slices.SortFunc(scratch, ByScore)
 	if cap(dst) == 0 && len(scratch) > 0 {
 		// One right-sized allocation instead of append's doubling walk.
 		n := len(scratch)

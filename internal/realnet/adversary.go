@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"net"
-	"sort"
 	"time"
 
 	"repro/internal/runner"
@@ -189,10 +188,10 @@ func (a *Adversary) RunSchedule(n int, seq uint64) ([]AttackKind, error) {
 // adversary config and the scripted call.
 func (a *Adversary) buildPayloads(kind AttackKind, seq uint64) ([][]byte, error) {
 	rng := rand.New(rand.NewSource(runner.DeriveSeed(a.cfg.Seed, "adversary", kind.String(), fmt.Sprint(seq))))
-	tags := sortedTags(a.base)
+	tags := a.base.Tags()
 	switch kind {
 	case AttackNaNBomb:
-		set := a.base.clone()
+		set := clone(a.base)
 		for _, tag := range tags {
 			m := set.Models[tag]
 			if len(m.W) > 0 {
@@ -202,7 +201,7 @@ func (a *Adversary) buildPayloads(kind AttackKind, seq uint64) ([][]byte, error)
 		}
 		return a.encode(set, a.cfg.Origin, seq)
 	case AttackWeightScale:
-		set := a.base.clone()
+		set := clone(a.base)
 		for _, tag := range tags {
 			m := set.Models[tag]
 			for i := range m.W {
@@ -237,22 +236,13 @@ func (a *Adversary) buildPayloads(kind AttackKind, seq uint64) ([][]byte, error)
 // universe: every tag answers with its neighbor's model and calibration,
 // so each model is individually well-formed but systematically wrong.
 func labelFlip(base *ModelSet, tags []string) *ModelSet {
-	set := base.clone()
+	set := clone(base)
 	for i, tag := range tags {
 		next := base.Models[tags[(i+1)%len(tags)]]
 		set.Models[tag] = &svm.LinearModel{W: append([]float64(nil), next.W...), Bias: next.Bias}
 		set.Platt[tag] = base.Platt[tags[(i+1)%len(tags)]]
 	}
 	return set
-}
-
-func sortedTags(ms *ModelSet) []string {
-	tags := make([]string, 0, len(ms.Models))
-	for tag := range ms.Models {
-		tags = append(tags, tag)
-	}
-	sort.Strings(tags)
-	return tags
 }
 
 func (a *Adversary) encode(set *ModelSet, origin string, seq uint64) ([][]byte, error) {

@@ -2,6 +2,7 @@ package realnet
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/protocol"
@@ -26,7 +27,7 @@ type Ensemble struct {
 	sets      []*ModelSet
 	threshold float64
 	maxTags   int
-	dec       []float64           // fused-score scratch, reused across documents
+	vote      protocol.Pool       // ensemble vote, reused across documents
 	sel       []metrics.ScoredTag // SelectTagsInto sort scratch, reused across documents
 }
 
@@ -39,7 +40,7 @@ func NewEnsemble(threshold float64, maxTags int, sets ...*ModelSet) (*Ensemble, 
 		return nil, errors.New("realnet: an ensemble needs at least one model set")
 	}
 	for _, ms := range sets {
-		if ms == nil || ms.ensureFused() == nil {
+		if ms == nil || len(ms.Tags()) == 0 {
 			return nil, errors.New("realnet: ensemble over an empty model set")
 		}
 	}
@@ -57,6 +58,14 @@ func NewEnsemble(threshold float64, maxTags int, sets ...*ModelSet) (*Ensemble, 
 	}, nil
 }
 
+// scores pools every set's vote on one document, each at full trust.
+func (e *Ensemble) scores(entries []vector.Entry) []metrics.ScoredTag {
+	for _, ms := range e.sets {
+		e.vote.Add(ms, entries, 1)
+	}
+	return e.vote.Scores()
+}
+
 // Suggest returns the full suggestion cloud for one document, sorted by
 // descending score with name tie-breaks. The document streams from the
 // pooled preprocessing workspace straight into fused scoring — no
@@ -64,7 +73,8 @@ func NewEnsemble(threshold float64, maxTags int, sets ...*ModelSet) (*Ensemble, 
 func (e *Ensemble) Suggest(text string) []metrics.ScoredTag {
 	var out []metrics.ScoredTag
 	e.pre.VectorizeInto(text, func(entries []vector.Entry) {
-		out, e.dec = suggestFromSets(entries, e.sets, nil, e.dec)
+		out = e.scores(entries)
+		slices.SortFunc(out, protocol.ByScore)
 	})
 	return out
 }
@@ -79,7 +89,7 @@ func (e *Ensemble) AutoTagBatch(texts []string) ([][]string, error) {
 	for i, text := range texts {
 		var scores []metrics.ScoredTag
 		e.pre.VectorizeInto(text, func(entries []vector.Entry) {
-			scores, e.dec = suggestFromSets(entries, e.sets, nil, e.dec)
+			scores = e.scores(entries)
 		})
 		var tags []string
 		tags, e.sel = protocol.SelectTagsInto(nil, scores, e.sel, e.threshold, e.maxTags)

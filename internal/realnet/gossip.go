@@ -46,7 +46,6 @@ func (n *Node) PublishGeneration(set *ModelSet) (Generation, PublishSummary, err
 	if set == nil || len(set.Models) == 0 {
 		return Generation{}, PublishSummary{}, errors.New("realnet: empty model set")
 	}
-	set.ensureFused()
 	n.mu.Lock()
 	seq := uint64(1)
 	if n.cur != nil {
@@ -177,7 +176,7 @@ func (n *Node) gossipLoop() {
 // the model-set decoder ever runs on it.
 func encodeGeneration(g Generation) ([]byte, error) {
 	var set bytes.Buffer
-	if err := wire.WriteModelSet(&set, g.Set.toWire()); err != nil {
+	if err := wire.WriteModelSet(&set, toWire(g.Set)); err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer

@@ -40,8 +40,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
+	"maps"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -216,33 +217,14 @@ func newHashedPreprocessor() *textproc.Preprocessor {
 	})
 }
 
-// ModelSet is what a node publishes: per-tag calibrated linear models with
-// cross-validated accuracies. The fused score matrix is derived lazily
-// (read-only once built, never serialized): Suggest scores all of a set's
-// tags in one pass over the document instead of one dot product per tag.
-// A ModelSet is immutable once published and must be handled by pointer.
-type ModelSet struct {
-	Models   map[string]*svm.LinearModel
-	Platt    map[string]svm.PlattParams
-	Accuracy map[string]float64
-
-	fuseOnce sync.Once
-	fused    *svm.FusedLinear
-}
-
-// ensureFused builds the fused score matrix on first use; safe for
-// concurrent callers, after which the matrix is shared read-only.
-func (ms *ModelSet) ensureFused() *svm.FusedLinear {
-	ms.fuseOnce.Do(func() {
-		if ms.fused == nil {
-			ms.fused = svm.NewFusedLinear(ms.Models)
-		}
-	})
-	return ms.fused
-}
+// ModelSet is what a node publishes: the calibrated one-vs-all bank the
+// simulated protocols score with, per-tag linear models with their Platt
+// calibration and cross-validated accuracies. A ModelSet is immutable once
+// published and must be handled by pointer.
+type ModelSet = protocol.Bank
 
 // toWire converts the set to the wire bank encoding.
-func (ms *ModelSet) toWire() map[string]wire.CalibratedModel {
+func toWire(ms *ModelSet) map[string]wire.CalibratedModel {
 	out := make(map[string]wire.CalibratedModel, len(ms.Models))
 	for tag, m := range ms.Models {
 		out[tag] = wire.CalibratedModel{Model: m, Platt: ms.Platt[tag], Accuracy: ms.Accuracy[tag]}
@@ -252,23 +234,16 @@ func (ms *ModelSet) toWire() map[string]wire.CalibratedModel {
 
 // clone deep-copies the set — weights included — so a caller may corrupt
 // the copy (the adversary harness does exactly that) without violating
-// the original's immutability contract. The clone's fused matrix is
+// the original's immutability contract. The clone's score matrix is
 // rebuilt lazily from the copied weights.
-func (ms *ModelSet) clone() *ModelSet {
+func clone(ms *ModelSet) *ModelSet {
 	out := &ModelSet{
 		Models:   make(map[string]*svm.LinearModel, len(ms.Models)),
-		Platt:    make(map[string]svm.PlattParams, len(ms.Platt)),
-		Accuracy: make(map[string]float64, len(ms.Accuracy)),
+		Platt:    maps.Clone(ms.Platt),
+		Accuracy: maps.Clone(ms.Accuracy),
 	}
 	for tag, m := range ms.Models {
-		cp := &svm.LinearModel{W: append([]float64(nil), m.W...), Bias: m.Bias}
-		out.Models[tag] = cp
-	}
-	for tag, p := range ms.Platt {
-		out.Platt[tag] = p
-	}
-	for tag, a := range ms.Accuracy {
-		out.Accuracy[tag] = a
+		out.Models[tag] = &svm.LinearModel{W: slices.Clone(m.W), Bias: m.Bias}
 	}
 	return out
 }
@@ -285,7 +260,6 @@ func modelSetFromWire(set map[string]wire.CalibratedModel) *ModelSet {
 		ms.Platt[tag] = cm.Platt
 		ms.Accuracy[tag] = cm.Accuracy
 	}
-	ms.ensureFused()
 	return ms
 }
 
@@ -315,33 +289,18 @@ func TrainModelSet(docs []TaggedText, c float64, seed int64) (*ModelSet, error) 
 	return trainSet(pdocs, c, seed)
 }
 
-// trainSet trains one calibrated model per tag of the documents' universe,
-// skipping tags whose training fails (e.g. one-class).
+// trainSet trains the bank a node publishes, each model pruned to compress
+// the wire payload.
 func trainSet(docs []protocol.Doc, c float64, seed int64) (*ModelSet, error) {
 	if len(docs) == 0 {
 		return nil, errors.New("realnet: no tagged documents to learn from")
 	}
-	ms := &ModelSet{
-		Models:   make(map[string]*svm.LinearModel),
-		Platt:    make(map[string]svm.PlattParams),
-		Accuracy: make(map[string]float64),
-	}
-	for _, tag := range protocol.TagUniverse(docs) {
-		exs := protocol.BinaryExamples(docs, tag)
-		m, err := svm.TrainLinear(exs, svm.LinearOptions{C: c, Seed: seed})
-		if err != nil {
-			continue
-		}
-		m = m.Pruned(0.02)
-		platt, acc := svm.CalibrateLinearCV(exs, svm.LinearOptions{C: c, Seed: seed}, m, 3)
-		ms.Models[tag] = m
-		ms.Platt[tag] = platt
-		ms.Accuracy[tag] = acc
-	}
+	ms := protocol.TrainBank(docs, c, seed, 1, func(m *svm.LinearModel) *svm.LinearModel {
+		return m.Pruned(0.02)
+	})
 	if len(ms.Models) == 0 {
 		return nil, errors.New("realnet: local documents are one-class; tag more variety first")
 	}
-	ms.ensureFused()
 	return ms, nil
 }
 
@@ -547,43 +506,31 @@ func (n *Node) broadcast(typ byte, payload []byte) PublishSummary {
 // the weighting is byte-invisible); sets from presently quarantined
 // origins are excluded from the vote entirely.
 func (n *Node) Suggest(text string) ([]metrics.ScoredTag, error) {
-	x := n.pre.Vectorize(text)
+	entries := n.pre.Vectorize(text).Entries()
 	n.mu.Lock()
-	sets := make([]*ModelSet, 0, len(n.remote)+1)
-	owns := 0
-	if n.own != nil {
-		sets = append(sets, n.own)
-		owns = 1
-	}
-	addrs := make([]string, 0, len(n.remote))
-	for a := range n.remote {
-		addrs = append(addrs, a)
-	}
-	sort.Strings(addrs)
-	for _, a := range addrs {
-		sets = append(sets, n.remote[a])
-	}
+	own, remote := n.own, maps.Clone(n.remote)
 	n.mu.Unlock()
 	// Trust lookups happen outside n.mu: the ledger has its own lock and
 	// nothing here needs the two views to be atomic with each other.
 	now := time.Now()
-	weights := make([]float64, owns, len(sets))
-	for i := range weights {
-		weights[i] = 1 // the node's own set is always fully trusted
+	var vote protocol.Pool
+	voters := 0
+	if own != nil {
+		vote.Add(own, entries, 1) // the node's own set is always fully trusted
+		voters++
 	}
-	kept := sets[:owns]
-	for i, a := range addrs {
-		if n.trust.quarantined(a, now) {
-			continue
+	for _, a := range slices.Sorted(maps.Keys(remote)) {
+		if !n.trust.quarantined(a, now) {
+			vote.Add(remote[a], entries, n.trust.weight(a))
+			voters++
 		}
-		kept = append(kept, sets[owns+i])
-		weights = append(weights, n.trust.weight(a))
 	}
-	if len(kept) == 0 {
+	if voters == 0 {
 		return nil, errors.New("realnet: no models known yet (publish or wait for peers)")
 	}
-	out, _ := suggestFromSets(x.Entries(), kept, weights, nil)
-	return out, nil
+	cloud := vote.Scores()
+	slices.SortFunc(cloud, protocol.ByScore)
+	return cloud, nil
 }
 
 // probeDoc is one vectorized holdout document for the admission probe.
@@ -599,16 +546,16 @@ type probeDoc struct {
 // scores below it. Runs with local scratch only — safe from concurrent
 // reader goroutines.
 func (n *Node) probeAccuracy(ms *ModelSet) float64 {
-	f := ms.ensureFused()
-	if f == nil {
+	tags := ms.Tags()
+	if len(tags) == 0 {
 		return 0
 	}
 	correct, total := 0, 0
-	var dec []float64
+	var probs []float64
 	for _, pd := range n.probe {
-		dec = f.ScoreEntriesInto(pd.x.Entries(), dec)
-		for i, tag := range f.Tags() {
-			predicted := ms.Platt[tag].Prob(dec[i]) >= 0.5
+		probs = ms.Probs(pd.x.Entries(), probs)
+		for i, tag := range tags {
+			predicted := probs[i] >= 0.5
 			if predicted == pd.has[tag] {
 				correct++
 			}
@@ -621,55 +568,6 @@ func (n *Node) probeAccuracy(ms *ModelSet) float64 {
 	return float64(correct) / float64(total)
 }
 
-// suggestFromSets pools per-tag probabilities across sets — accuracy over
-// chance as the weight, log-odds space for the vote. weights, when
-// non-nil, holds one trust multiplier per set that scales that set's
-// contribution (a weight of exactly 1.0 is bit-invisible: x*1.0 == x for
-// every finite x, so trust weighting cannot perturb the byte-determinism
-// pins of an all-honest ensemble); a weight ≤ 0 excludes the set. entries
-// is the query's sorted sparse entries, read synchronously and never
-// retained, so streaming callers can pass pooled preprocessing scratch;
-// dec is scratch reused across sets (and across calls, when the caller
-// keeps it).
-func suggestFromSets(entries []vector.Entry, sets []*ModelSet, weights []float64, dec []float64) ([]metrics.ScoredTag, []float64) {
-	logitSum := map[string]float64{}
-	weightSum := map[string]float64{}
-	for si, ms := range sets {
-		tw := 1.0
-		if weights != nil {
-			tw = weights[si]
-		}
-		if tw <= 0 {
-			continue
-		}
-		f := ms.ensureFused()
-		if f == nil {
-			continue
-		}
-		dec = f.ScoreEntriesInto(entries, dec)
-		for i, tag := range f.Tags() {
-			w := (ms.Accuracy[tag] - 0.5) * tw
-			if w <= 0 {
-				continue
-			}
-			p := ms.Platt[tag].Prob(dec[i])
-			logitSum[tag] += w * clampLogit(p)
-			weightSum[tag] += w
-		}
-	}
-	out := make([]metrics.ScoredTag, 0, len(logitSum))
-	for tag, sum := range logitSum {
-		out = append(out, metrics.ScoredTag{Tag: tag, Score: protocol.Sigmoid(sum / weightSum[tag])})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Tag < out[j].Tag
-	})
-	return out, dec
-}
-
 // AutoTag assigns tags above threshold (falling back to the single best).
 func (n *Node) AutoTag(text string, threshold float64, maxTags int) ([]string, error) {
 	scores, err := n.Suggest(text)
@@ -677,24 +575,6 @@ func (n *Node) AutoTag(text string, threshold float64, maxTags int) ([]string, e
 		return nil, err
 	}
 	return protocol.SelectTags(scores, threshold, maxTags), nil
-}
-
-func clampLogit(p float64) float64 {
-	const lim = 6
-	if p < 1e-9 {
-		return -lim
-	}
-	if p > 1-1e-9 {
-		return lim
-	}
-	l := math.Log(p / (1 - p))
-	if l > lim {
-		return lim
-	}
-	if l < -lim {
-		return -lim
-	}
-	return l
 }
 
 // ---------------------------------------------------------------------------
@@ -991,7 +871,7 @@ func encodeModelSet(sender string, ms *ModelSet) ([]byte, error) {
 	var buf bytes.Buffer
 	_ = binary.Write(&buf, binary.LittleEndian, uint16(len(sender)))
 	buf.WriteString(sender)
-	if err := wire.WriteModelSet(&buf, ms.toWire()); err != nil {
+	if err := wire.WriteModelSet(&buf, toWire(ms)); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -13,18 +13,17 @@ import (
 // sparse-times-dense dot products over the same document — the dominant
 // per-query cost once preprocessing is pooled.
 //
-// Three layouts share the contract, chosen by bank density and tag count
-// at construction (see Layout):
+// Two layouts share the contract, chosen by bank density and tag count at
+// construction (see Layout):
 //
 //   - CSR: per feature, the (tag, weight) cells with non-zero weight.
 //     Wins when weights are sparse relative to the tag count — the shape
 //     of pruned per-peer ensembles (PACE, realnet) and of large tag
-//     universes, where most features matter to few tags.
-//   - Dense rows: per feature, a contiguous []float64 of every tag's
-//     weight (zeros included). The scalar fallback for dense banks too
-//     narrow to block (fewer than blockedMinTags tags), where padding to
-//     a full block would outweigh the blocked walk's savings.
-//   - Blocked: dense rows padded to a multiple of blockWidth tags, scored
+//     universes, where most features matter to few tags — and on dense
+//     banks too narrow to block (fewer than blockedMinTags tags), where
+//     padding to a full block would outweigh the blocked walk's savings.
+//   - Blocked: per feature, a contiguous row of every tag's weight (zeros
+//     included), padded to a multiple of blockWidth tags and scored
 //     blockWidth lanes at a time through fixed-size array pointers. The
 //     inner loop is fully unrolled with no bounds checks — the shape the
 //     compiler (and the hardware's superscalar units) exploit best — and
@@ -32,15 +31,15 @@ import (
 //     the default for every dense bank wide enough to fill a block.
 //
 // Scores are bit-identical to calling (*LinearModel).Decision per tag in
-// every layout: the outer loop visits the document's entries in ascending
+// both layouts: the document's entries are visited in ascending
 // feature-id order, so every tag's partial sums accumulate in exactly the
 // order DotDense uses, and the bias is added after the sum just as
 // Decision does. Blocking happens across tags, never across features, so
 // the blocked walk changes which tags advance together but not the order
-// any single tag's sum accumulates in. (CSR skips zero weights, the dense
-// layouts multiply by them, and the blocked tail lanes add exact zeros;
-// none of these changes an IEEE-754 running sum DotDense could produce.)
-// The svm tests pin this equality on randomized banks in all layouts.
+// any single tag's sum accumulates in. (CSR skips zero weights, the
+// blocked rows multiply by them and the tail lanes add exact zeros; none
+// of these changes an IEEE-754 running sum DotDense could produce.) The
+// svm tests pin this equality on randomized banks in both layouts.
 //
 // A FusedLinear is immutable after construction and safe for concurrent
 // use; it is rebuilt whenever its underlying model bank changes
@@ -54,10 +53,6 @@ type FusedLinear struct {
 	// non-zero (tag, weight) cells.
 	rowStart []int32
 	cells    []fusedCell
-
-	// Dense layout: rows[f*len(tags) : (f+1)*len(tags)] is feature f's
-	// weight per tag.
-	rows []float64
 
 	// Blocked layout: blocks[f*ntPad : (f+1)*ntPad] is feature f's weight
 	// per tag, zero-padded to ntPad (len(tags) rounded up to a multiple
@@ -78,15 +73,15 @@ type Layout int
 
 const (
 	// LayoutAuto lets the constructor choose by bank density and width:
-	// CSR below denseLayoutThreshold fill, blocked at or above it with at
-	// least blockedMinTags tags, scalar dense rows otherwise.
-	LayoutAuto Layout = iota
+	// blocked at denseLayoutThreshold fill or above with at least
+	// blockedMinTags tags, CSR otherwise.
+	LayoutAuto Layout = 0
 	// LayoutCSR forces the sparse cell layout.
-	LayoutCSR
-	// LayoutDense forces scalar dense rows.
-	LayoutDense
-	// LayoutBlocked forces the blockWidth-padded blocked rows.
-	LayoutBlocked
+	LayoutCSR Layout = 1
+	// LayoutBlocked forces the blockWidth-padded blocked rows. (2 was a
+	// scalar dense-row layout; the values are reported as a benchmark
+	// row, so the survivors keep theirs.)
+	LayoutBlocked Layout = 3
 )
 
 func (l Layout) String() string {
@@ -95,8 +90,6 @@ func (l Layout) String() string {
 		return "auto"
 	case LayoutCSR:
 		return "csr"
-	case LayoutDense:
-		return "dense"
 	case LayoutBlocked:
 		return "blocked"
 	default:
@@ -106,7 +99,7 @@ func (l Layout) String() string {
 
 const (
 	// denseLayoutThreshold is the bank fill fraction (non-zero weights
-	// over dim*tags) above which a dense layout replaces CSR: a 16-byte
+	// over dim*tags) from which the blocked layout replaces CSR: a 16-byte
 	// CSR cell costs two dense slots, so well before half fill the dense
 	// walk is both smaller per element and branch-free.
 	denseLayoutThreshold = 0.25
@@ -118,7 +111,7 @@ const (
 
 	// blockedMinTags is the minimum bank width for the blocked layout
 	// under LayoutAuto: below it the zero-padded tail lanes outnumber the
-	// real ones and the scalar dense walk is cheaper.
+	// real ones and the CSR walk is as cheap (BenchmarkFusedLayouts).
 	blockedMinTags = 4
 )
 
@@ -162,25 +155,8 @@ func NewFusedLinearLayout(models map[string]*LinearModel, layout Layout) *FusedL
 	for ti, tag := range tags {
 		f.bias[ti] = models[tag].Bias
 	}
-	if layout == LayoutAuto {
-		switch {
-		case float64(nnz) < denseLayoutThreshold*float64(dim)*float64(len(tags)):
-			layout = LayoutCSR
-		case len(tags) >= blockedMinTags:
-			layout = LayoutBlocked
-		default:
-			layout = LayoutDense
-		}
-	}
-	switch layout {
-	case LayoutDense:
-		f.rows = make([]float64, dim*len(tags))
-		for ti, tag := range tags {
-			for fid, w := range models[tag].W {
-				f.rows[fid*len(tags)+ti] = w
-			}
-		}
-	case LayoutBlocked:
+	dense := len(tags) >= blockedMinTags && float64(nnz) >= denseLayoutThreshold*float64(dim)*float64(len(tags))
+	if layout == LayoutBlocked || layout == LayoutAuto && dense {
 		f.ntPad = (len(tags) + blockWidth - 1) / blockWidth * blockWidth
 		f.blocks = make([]float64, dim*f.ntPad)
 		for ti, tag := range tags {
@@ -188,7 +164,7 @@ func NewFusedLinearLayout(models map[string]*LinearModel, layout Layout) *FusedL
 				f.blocks[fid*f.ntPad+ti] = w
 			}
 		}
-	default: // LayoutCSR
+	} else { // LayoutCSR
 		f.rowStart = make([]int32, dim+1)
 		f.cells = make([]fusedCell, nnz)
 		// Counting pass: cells per feature row.
@@ -222,19 +198,12 @@ func NewFusedLinearLayout(models map[string]*LinearModel, layout Layout) *FusedL
 // must not modify the returned slice.
 func (f *FusedLinear) Tags() []string { return f.tags }
 
-// NumTags reports the bank size.
-func (f *FusedLinear) NumTags() int { return len(f.tags) }
-
 // Layout reports the physical packing this matrix was built with.
 func (f *FusedLinear) Layout() Layout {
-	switch {
-	case f.blocks != nil:
+	if f.blocks != nil {
 		return LayoutBlocked
-	case f.rows != nil:
-		return LayoutDense
-	default:
-		return LayoutCSR
 	}
+	return LayoutCSR
 }
 
 // ScoreEntriesInto computes the raw decision value w_t·x + b_t for every
@@ -258,8 +227,7 @@ func (f *FusedLinear) ScoreEntriesInto(entries []vector.Entry, dst []float64) []
 		dst = make([]float64, need)
 	}
 	dim := int32(f.dim)
-	switch {
-	case f.blocks != nil:
+	if f.blocks != nil {
 		pad := dst[:f.ntPad]
 		clear(pad)
 		ntPad := f.ntPad
@@ -277,7 +245,7 @@ func (f *FusedLinear) ScoreEntriesInto(entries []vector.Entry, dst []float64) []
 		// overhead. Per tag the adds still consume entries in ascending-id
 		// order (the paired statements stay separate, never fused into
 		// v0*r0+v1*r1), so every running sum is the same IEEE-754 sequence
-		// as the scalar dense walk and per-tag Decision.
+		// as per-tag Decision.
 		for b := 0; b < ntPad; b += blockWidth {
 			var a0, a1, a2, a3, a4, a5, a6, a7 float64
 			i := 0
@@ -321,20 +289,7 @@ func (f *FusedLinear) ScoreEntriesInto(entries []vector.Entry, dst []float64) []
 			d[4], d[5], d[6], d[7] = a4, a5, a6, a7
 		}
 		dst = dst[:nt]
-	case f.rows != nil:
-		dst = dst[:nt]
-		clear(dst)
-		for _, e := range entries {
-			if e.Index >= dim {
-				continue
-			}
-			row := f.rows[int(e.Index)*nt : int(e.Index)*nt+nt]
-			v := e.Value
-			for t, w := range row {
-				dst[t] += v * w
-			}
-		}
-	default:
+	} else {
 		dst = dst[:nt]
 		clear(dst)
 		cells, rowStart := f.cells, f.rowStart
@@ -353,14 +308,4 @@ func (f *FusedLinear) ScoreEntriesInto(entries []vector.Entry, dst []float64) []
 		dst[i] += f.bias[i]
 	}
 	return dst
-}
-
-// ScoreInto is ScoreEntriesInto over a materialized sparse vector.
-func (f *FusedLinear) ScoreInto(x *vector.Sparse, dst []float64) []float64 {
-	return f.ScoreEntriesInto(x.Entries(), dst)
-}
-
-// Score is ScoreInto with a fresh result slice.
-func (f *FusedLinear) Score(x *vector.Sparse) []float64 {
-	return f.ScoreInto(x, nil)
 }

@@ -23,7 +23,7 @@ func randSparse(rng *rand.Rand, dim, nnz int) *vector.Sparse {
 // dimensionality (some tags deliberately shorter than the widest,
 // exercising the out-of-range skip). fill is the fraction of non-zero
 // weights per model: low fill selects the CSR layout, high fill the
-// dense-row layout.
+// blocked layout (on banks of at least blockedMinTags tags).
 func randBank(rng *rand.Rand, tags, dim int, fill float64) map[string]*LinearModel {
 	bank := make(map[string]*LinearModel, tags)
 	for t := 0; t < tags; t++ {
@@ -40,8 +40,8 @@ func randBank(rng *rand.Rand, tags, dim int, fill float64) map[string]*LinearMod
 }
 
 // TestFusedScoresPinnedToDecision is the fused-scoring identity pin: for
-// random banks and documents, under automatic layout selection, ScoreInto
-// must equal per-tag Decision on exact float64 comparison — same
+// random banks and documents, under automatic layout selection, the
+// scores must equal per-tag Decision on exact float64 comparison — same
 // accumulation order, not a tolerance — and the auto rule must pick the
 // expected layout for each bank shape.
 func TestFusedScoresPinnedToDecision(t *testing.T) {
@@ -49,21 +49,17 @@ func TestFusedScoresPinnedToDecision(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		fill := 0.05 // CSR layout
 		if trial%2 == 1 {
-			fill = 0.9 // dense: blocked at >= blockedMinTags tags, scalar rows below
+			fill = 0.9 // dense: blocked at >= blockedMinTags tags, CSR below
 		}
 		nt := 1 + rng.Intn(24)
 		bank := randBank(rng, nt, 64+rng.Intn(192), fill)
 		f := NewFusedLinear(bank)
-		if f.NumTags() != len(bank) {
-			t.Fatalf("trial %d: %d fused tags for a %d-tag bank", trial, f.NumTags(), len(bank))
+		if len(f.Tags()) != len(bank) {
+			t.Fatalf("trial %d: %d fused tags for a %d-tag bank", trial, len(f.Tags()), len(bank))
 		}
 		want := LayoutCSR
-		if fill > 0.5 {
-			if nt >= blockedMinTags {
-				want = LayoutBlocked
-			} else {
-				want = LayoutDense
-			}
+		if fill > 0.5 && nt >= blockedMinTags {
+			want = LayoutBlocked
 		}
 		if got := f.Layout(); got != want {
 			t.Fatalf("trial %d: fill %.2f tags %d chose layout %v, want %v", trial, fill, nt, got, want)
@@ -71,7 +67,7 @@ func TestFusedScoresPinnedToDecision(t *testing.T) {
 		var buf []float64
 		for q := 0; q < 8; q++ {
 			x := randSparse(rng, 300, 1+rng.Intn(40))
-			buf = f.ScoreInto(x, buf)
+			buf = f.ScoreEntriesInto(x.Entries(), buf)
 			for i, tag := range f.Tags() {
 				want := bank[tag].Decision(x)
 				if buf[i] != want {
@@ -83,14 +79,15 @@ func TestFusedScoresPinnedToDecision(t *testing.T) {
 	}
 }
 
-// TestFusedLayoutsPinnedToDecision forces every layout over the same
+// TestFusedLayoutsPinnedToDecision forces both layouts over the same
 // randomized banks and pins each one bit-identical to per-tag Decision,
-// and the layouts to each other. Tag counts straddle the block-width
-// boundaries (1, 4, 7, 8, 9, 16, 23) to exercise zero-padded tails.
+// and so to each other. Tag counts cover the narrow banks the selector
+// keeps in CSR (1, 2, 3) and straddle the block-width boundaries (4, 7, 8,
+// 9, 16, 23) to exercise zero-padded tails.
 func TestFusedLayoutsPinnedToDecision(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	layouts := []Layout{LayoutCSR, LayoutDense, LayoutBlocked}
-	for _, nt := range []int{1, 4, 7, 8, 9, 16, 23} {
+	layouts := []Layout{LayoutCSR, LayoutBlocked}
+	for _, nt := range []int{1, 2, 3, 4, 7, 8, 9, 16, 23} {
 		for _, fill := range []float64{0.1, 0.5, 0.95} {
 			bank := randBank(rng, nt, 48+rng.Intn(160), fill)
 			fused := make([]*FusedLinear, len(layouts))
@@ -104,7 +101,7 @@ func TestFusedLayoutsPinnedToDecision(t *testing.T) {
 			for q := 0; q < 6; q++ {
 				x := randSparse(rng, 280, 1+rng.Intn(50))
 				for i, f := range fused {
-					bufs[i] = f.ScoreInto(x, bufs[i])
+					bufs[i] = f.ScoreEntriesInto(x.Entries(), bufs[i])
 					if len(bufs[i]) != nt {
 						t.Fatalf("layout %v: %d scores for %d tags", layouts[i], len(bufs[i]), nt)
 					}
@@ -124,21 +121,20 @@ func TestFusedLayoutsPinnedToDecision(t *testing.T) {
 }
 
 // TestScoreEntriesIntoStreaming: the streaming terminal over raw entries
-// equals ScoreInto over the materialized vector, including entries beyond
-// every model's dimension and the empty document.
+// equals Decision over the materialized vector when most entries lie
+// beyond every model's dimension, and on the empty document.
 func TestScoreEntriesIntoStreaming(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	bank := randBank(rng, 12, 128, 0.8)
-	for _, l := range []Layout{LayoutCSR, LayoutDense, LayoutBlocked} {
+	for _, l := range []Layout{LayoutCSR, LayoutBlocked} {
 		f := NewFusedLinearLayout(bank, l)
-		var a, b []float64
+		var b []float64
 		for q := 0; q < 10; q++ {
 			x := randSparse(rng, 400, 1+rng.Intn(60))
-			a = f.ScoreInto(x, a)
 			b = f.ScoreEntriesInto(x.Entries(), b)
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("layout %v: ScoreEntriesInto[%d]=%v != ScoreInto %v", l, i, b[i], a[i])
+			for i, tag := range f.Tags() {
+				if want := bank[tag].Decision(x); b[i] != want {
+					t.Fatalf("layout %v tag %s: ScoreEntriesInto %v != Decision %v", l, tag, b[i], want)
 				}
 			}
 		}
@@ -163,14 +159,14 @@ func TestFusedEdgeCases(t *testing.T) {
 	}
 	f := NewFusedLinear(bank)
 	empty := vector.Zero()
-	got := f.Score(empty)
+	got := f.ScoreEntriesInto(empty.Entries(), nil)
 	for i, tag := range f.Tags() {
 		if want := bank[tag].Decision(empty); got[i] != want {
 			t.Errorf("empty doc, tag %s: %v != %v", tag, got[i], want)
 		}
 	}
 	wide, _ := vector.New([]int32{1, 2, 500}, []float64{2, 3, 4})
-	got = f.Score(wide)
+	got = f.ScoreEntriesInto(wide.Entries(), nil)
 	for i, tag := range f.Tags() {
 		if want := bank[tag].Decision(wide); got[i] != want {
 			t.Errorf("wide doc, tag %s: %v != %v", tag, got[i], want)
@@ -257,7 +253,7 @@ func TestTrainKernelPrecomputes(t *testing.T) {
 // BenchmarkFusedScoring compares scoring a T-tag bank per tag against the
 // fused single-pass matrix, for both bank shapes: "sparse" is a pruned
 // wide-universe ensemble (CSR layout), "dense" a shared-pool bank where
-// nearly every feature carries a weight in every tag (dense-row layout).
+// nearly every feature carries a weight in every tag (blocked layout).
 func BenchmarkFusedScoring(b *testing.B) {
 	for _, shape := range []struct {
 		name string
@@ -280,6 +276,7 @@ func BenchmarkFusedScoring(b *testing.B) {
 		}
 		f := NewFusedLinear(bank)
 		doc := randSparse(rng, dim, 120)
+		entries := doc.Entries()
 		order := f.Tags()
 
 		b.Run(shape.name+"/pertag", func(b *testing.B) {
@@ -299,7 +296,7 @@ func BenchmarkFusedScoring(b *testing.B) {
 			buf := make([]float64, tags)
 			var sink float64
 			for i := 0; i < b.N; i++ {
-				buf = f.ScoreInto(doc, buf)
+				buf = f.ScoreEntriesInto(entries, buf)
 				sink += buf[0]
 			}
 			if math.IsNaN(sink) {
@@ -309,35 +306,38 @@ func BenchmarkFusedScoring(b *testing.B) {
 	}
 }
 
-// BenchmarkFusedLayouts scores the same dense bank through the scalar
-// dense rows and the 8-wide blocked layout — the head-to-head the blocked
-// layout exists for.
+// BenchmarkFusedLayouts scores the same fully dense bank through CSR and
+// the 8-wide blocked layout on either side of blockedMinTags — the
+// head-to-head LayoutAuto's width rule rests on: CSR holds its own on the
+// 1-3-tag banks it keeps, blocked wins from there up.
 func BenchmarkFusedLayouts(b *testing.B) {
-	rng := rand.New(rand.NewSource(21))
-	const tags, dim = 32, 4096
-	bank := make(map[string]*LinearModel, tags)
-	for t := 0; t < tags; t++ {
-		w := make([]float64, dim)
-		for i := range w {
-			w[i] = rng.NormFloat64()
+	const dim = 4096
+	for _, tags := range []int{1, 2, 3, blockedMinTags, 32} {
+		rng := rand.New(rand.NewSource(21))
+		bank := make(map[string]*LinearModel, tags)
+		for t := 0; t < tags; t++ {
+			w := make([]float64, dim)
+			for i := range w {
+				w[i] = rng.NormFloat64()
+			}
+			bank[fmt.Sprintf("tag%02d", t)] = &LinearModel{W: w, Bias: rng.NormFloat64()}
 		}
-		bank[fmt.Sprintf("tag%02d", t)] = &LinearModel{W: w, Bias: rng.NormFloat64()}
-	}
-	doc := randSparse(rng, dim, 120)
-	for _, l := range []Layout{LayoutDense, LayoutBlocked} {
-		f := NewFusedLinearLayout(bank, l)
-		b.Run(l.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			buf := make([]float64, 0, tags+blockWidth)
-			var sink float64
-			for i := 0; i < b.N; i++ {
-				buf = f.ScoreInto(doc, buf)
-				sink += buf[0]
-			}
-			if math.IsNaN(sink) {
-				b.Fatal("nan")
-			}
-		})
+		entries := randSparse(rng, dim, 80).Entries()
+		for _, l := range []Layout{LayoutCSR, LayoutBlocked} {
+			f := NewFusedLinearLayout(bank, l)
+			b.Run(fmt.Sprintf("tags%02d/%v", tags, l), func(b *testing.B) {
+				b.ReportAllocs()
+				buf := make([]float64, 0, tags+blockWidth)
+				var sink float64
+				for i := 0; i < b.N; i++ {
+					buf = f.ScoreEntriesInto(entries, buf)
+					sink += buf[0]
+				}
+				if math.IsNaN(sink) {
+					b.Fatal("nan")
+				}
+			})
+		}
 	}
 }
 

@@ -102,9 +102,9 @@ func TestChecksumPinned(t *testing.T) {
 func TestDecoderBudgets(t *testing.T) {
 	t.Run("linear dim cap", func(t *testing.T) {
 		var buf bytes.Buffer
-		mustWrite(t, &buf, math.Float64bits(0.0))    // bias
-		mustWrite(t, &buf, uint32(maxModelDim+1))    // dim past the cap
-		mustWrite(t, &buf, uint32(0))                // nnz
+		mustWrite(t, &buf, math.Float64bits(0.0)) // bias
+		mustWrite(t, &buf, uint32(maxModelDim+1)) // dim past the cap
+		mustWrite(t, &buf, uint32(0))             // nnz
 		if _, err := ReadLinearModel(&buf); err == nil {
 			t.Fatal("dim past maxModelDim accepted")
 		}
