@@ -414,9 +414,11 @@ func TestQuarantineAndReprobe(t *testing.T) {
 	if err := nd.tr.send(peer, frameHello, encodeHello([]string{nd.Addr()})); err != nil {
 		t.Fatalf("re-probe after heal failed: %v", err)
 	}
+	// At least one frame out: the target's answering hello introduces it
+	// to nd, whose own introduction back may already have gone out too.
 	st = nd.Transport().Peers[peer]
-	if st.Quarantined || st.ConsecutiveFailures != 0 || st.FramesOut != 1 {
-		t.Fatalf("after recovery: %+v, want clean un-quarantined state with 1 frame out", st)
+	if st.Quarantined || st.ConsecutiveFailures != 0 || st.FramesOut < 1 {
+		t.Fatalf("after recovery: %+v, want clean un-quarantined state with a frame out", st)
 	}
 }
 

@@ -78,9 +78,9 @@ const (
 	LayoutAuto Layout = 0
 	// LayoutCSR forces the sparse cell layout.
 	LayoutCSR Layout = 1
-	// LayoutBlocked forces the blockWidth-padded blocked rows. (2 was a
-	// scalar dense-row layout; the values are reported as a benchmark
-	// row, so the survivors keep theirs.)
+	// LayoutBlocked forces the blockWidth-padded blocked rows. Its value
+	// is pinned, gap included: the benchmark's svm.fused_layout row
+	// reports these numbers and must not move.
 	LayoutBlocked Layout = 3
 )
 
