@@ -124,11 +124,12 @@ func TestServerMatchesSerialUnderLoad(t *testing.T) {
 	total := int64(clients * len(queries))
 	// Identical texts in flight coalesce (single-flight dedup), so the
 	// books balance as issued = Requests + Coalesced = Served + Coalesced.
+	// Whether any request coalesces here is up to the scheduler — a 30 µs
+	// request is usually answered before its duplicate arrives — so the
+	// count itself is not asserted; internal/serving's gated
+	// TestSingleFlightDedup proves coalescing deterministically.
 	if st.Requests+st.Coalesced != total || st.Served+st.Coalesced != total {
 		t.Errorf("requests %d served %d coalesced %d, want %d issued", st.Requests, st.Served, st.Coalesced, total)
-	}
-	if st.Coalesced == 0 {
-		t.Errorf("no coalesced requests with %d clients cycling %d texts", clients, len(queries))
 	}
 	if st.Errors != 0 {
 		t.Errorf("errors = %d", st.Errors)
