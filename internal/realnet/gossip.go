@@ -1,11 +1,9 @@
 package realnet
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/wire"
@@ -81,17 +79,14 @@ func (n *Node) CurrentGeneration() (Generation, bool) {
 }
 
 // onGeneration handles one gossiped generation frame through the full
-// Byzantine admission pipeline: size budget, decode + content digest,
+// Byzantine admission pipeline: size budget (readFrame applied it from the
+// frame header, before the payload was buffered), content digest + decode,
 // origin validity, dedup by (Seq, Origin) — a stale echo is normal gossip
 // traffic, never a trust event — then admit: trust admission, structural
 // validation, and the holdout probe. Only an admitted generation touches
 // the peer tables, gets relayed, or reaches the application callback; a
 // rejected one demotes and quarantines its origin.
 func (n *Node) onGeneration(payload []byte) {
-	if len(payload) > n.cfg.MaxGenBytes {
-		n.tr.noteCorrupt()
-		return
-	}
 	g, err := decodeGeneration(payload)
 	if err != nil {
 		n.tr.noteCorrupt()
@@ -173,50 +168,37 @@ func (n *Node) gossipLoop() {
 // [seq uint64][origin string][digest uint64][wire model set], where the
 // digest is wire.Checksum over the encoded set bytes: a frame whose set
 // was corrupted or tampered with in flight fails the digest check before
-// the model-set decoder ever runs on it.
+// the model-set decoder ever runs on it. One buffer: the digest slot is
+// reserved, the set appended behind it, the digest patched in.
 func encodeGeneration(g Generation) ([]byte, error) {
-	var set bytes.Buffer
-	if err := wire.WriteModelSet(&set, toWire(g.Set)); err != nil {
+	b, err := wire.AppendString(binary.LittleEndian.AppendUint64(nil, g.Seq), g.Origin)
+	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	_ = binary.Write(&buf, binary.LittleEndian, g.Seq)
-	_ = binary.Write(&buf, binary.LittleEndian, uint16(len(g.Origin)))
-	buf.WriteString(g.Origin)
-	_ = binary.Write(&buf, binary.LittleEndian, wire.Checksum(set.Bytes()))
-	buf.Write(set.Bytes())
-	return buf.Bytes(), nil
+	digestAt := len(b)
+	if b, err = wire.AppendModelSet(binary.LittleEndian.AppendUint64(b, 0), toWire(g.Set)); err != nil {
+		return nil, err
+	}
+	binary.LittleEndian.PutUint64(b[digestAt:], wire.Checksum(b[digestAt+8:]))
+	return b, nil
 }
 
 func decodeGeneration(payload []byte) (Generation, error) {
-	r := bytes.NewReader(payload)
-	var g Generation
-	if err := binary.Read(r, binary.LittleEndian, &g.Seq); err != nil {
-		return Generation{}, fmt.Errorf("realnet: generation seq: %w", err)
+	c := wire.NewCursor(payload)
+	g := Generation{Seq: c.U64(), Origin: c.Str()}
+	digest := c.U64()
+	if c.Err() != nil {
+		return Generation{}, fmt.Errorf("realnet: generation header: %w", c.Err())
 	}
-	var ol uint16
-	if err := binary.Read(r, binary.LittleEndian, &ol); err != nil {
-		return Generation{}, fmt.Errorf("realnet: generation origin: %w", err)
+	if wire.Checksum(c.Rest()) != digest {
+		return Generation{}, fmt.Errorf("realnet: generation content digest mismatch: %w", wire.ErrCorrupt)
 	}
-	ob := make([]byte, ol)
-	if _, err := io.ReadFull(r, ob); err != nil {
-		return Generation{}, fmt.Errorf("realnet: generation origin: %w", err)
-	}
-	g.Origin = string(ob)
-	var digest uint64
-	if err := binary.Read(r, binary.LittleEndian, &digest); err != nil {
-		return Generation{}, fmt.Errorf("realnet: generation digest: %w", err)
-	}
-	rest := payload[len(payload)-r.Len():]
-	if wire.Checksum(rest) != digest {
-		return Generation{}, fmt.Errorf("realnet: generation content digest mismatch")
-	}
-	set, err := wire.ReadModelSet(r)
+	set, err := wire.DecodeModelSet(c)
 	if err != nil {
-		return Generation{}, err
+		return Generation{}, fmt.Errorf("realnet: generation: %w", err)
 	}
-	if r.Len() != 0 {
-		return Generation{}, fmt.Errorf("realnet: %d trailing bytes after generation", r.Len())
+	if rest := len(c.Rest()); rest != 0 {
+		return Generation{}, fmt.Errorf("realnet: %d trailing bytes after generation: %w", rest, wire.ErrCorrupt)
 	}
 	g.Set = modelSetFromWire(set)
 	return g, nil

@@ -1,6 +1,10 @@
 package realnet
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/svm"
@@ -60,5 +64,62 @@ func TestPayloadsPinned(t *testing.T) {
 			t.Errorf("%s: %d bytes, digest %#x; pinned %d bytes, %#x",
 				p.name, len(p.payload), wire.Checksum(p.payload), p.length, p.digest)
 		}
+	}
+}
+
+// TestEveryTruncationIsCorrupt: every proper prefix of a valid payload is
+// refused with a wire.ErrCorrupt-wrapping error — never a panic, never a
+// success on fewer bytes than were sent.
+func TestEveryTruncationIsCorrupt(t *testing.T) {
+	decoders := map[string]func([]byte) error{
+		"generation": func(b []byte) error { _, err := decodeGeneration(b); return err },
+		"models":     func(b []byte) error { _, _, err := decodeModelSet(b); return err },
+		"hello":      func(b []byte) error { _, err := decodeHello(b); return err },
+	}
+	for _, p := range pinnedPayloads(t) {
+		decode := decoders[p.name]
+		if err := decode(p.payload); err != nil {
+			t.Fatalf("%s: full payload refused: %v", p.name, err)
+		}
+		for cut := 0; cut < len(p.payload); cut++ {
+			if err := decode(p.payload[:cut]); !errors.Is(err, wire.ErrCorrupt) {
+				t.Fatalf("%s: prefix of %d/%d bytes: err = %v, want ErrCorrupt", p.name, cut, len(p.payload), err)
+			}
+		}
+	}
+}
+
+// TestFrameHeaderBuysNoMemory: a 5-byte header claiming 48 MiB, over a
+// budget of 32 MiB, on a stream that then ends. The reader must decide from
+// the header — drain, not buffer — so the claim allocates (next to)
+// nothing; and a frame within budget on the same stream still reads.
+func TestFrameHeaderBuysNoMemory(t *testing.T) {
+	budget := func(byte) int { return 32 << 20 }
+	hdr := binary.LittleEndian.AppendUint32([]byte{frameGen}, 48<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readFrame(bytes.NewReader(hdr), budget)
+	runtime.ReadMemStats(&after)
+	if err == nil || errors.Is(err, errOverBudget) {
+		t.Fatalf("header over a stream that ends: err = %v, want a read error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("a 5-byte header allocated %d bytes", grew)
+	}
+
+	var stream bytes.Buffer
+	if err := writeFrame(&stream, frameGen, make([]byte, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(&stream, frameHello, []byte("next")); err != nil {
+		t.Fatal(err)
+	}
+	small := func(byte) int { return 99 }
+	if _, _, err := readFrame(&stream, small); !errors.Is(err, errOverBudget) {
+		t.Fatalf("over-budget frame: err = %v, want errOverBudget", err)
+	}
+	typ, payload, err := readFrame(&stream, small)
+	if err != nil || typ != frameHello || string(payload) != "next" {
+		t.Fatalf("frame after a drained one = (%d, %q, %v)", typ, payload, err)
 	}
 }

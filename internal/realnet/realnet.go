@@ -35,7 +35,6 @@
 package realnet
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -63,8 +62,16 @@ const (
 	frameGen    = 3 // payload: a gossiped model generation (seq, origin, set)
 )
 
-// maxFrame bounds a frame payload (corrupt peers must not OOM us).
-const maxFrame = 64 << 20
+// maxFrame bounds a frame payload: a header claiming more closes the
+// connection. Below it every frame type has its own budget (frameBudget),
+// decided from the header before a payload byte is buffered. A hello
+// carries at most maxHelloAddrs addresses, which maxHelloBytes comfortably
+// holds.
+const (
+	maxFrame      = 64 << 20
+	maxHelloAddrs = 10000
+	maxHelloBytes = 1 << 20
+)
 
 // DialFunc dials a peer; tests inject failing dialers to simulate
 // partitions and unreachable peers without real network faults.
@@ -611,7 +618,12 @@ func (n *Node) handleConn(conn net.Conn) {
 		// (Regression: a single deadline set at accept killed an actively
 		// gossiping connection 30s in, mid-frame-stream.)
 		_ = conn.SetReadDeadline(time.Now().Add(n.cfg.FrameTimeout))
-		typ, payload, err := readFrame(conn)
+		typ, payload, err := readFrame(conn, n.frameBudget)
+		if errors.Is(err, errOverBudget) {
+			// Drained, never buffered; the connection is still in frame sync.
+			n.tr.noteCorrupt()
+			continue
+		}
 		if err != nil {
 			if err != io.EOF {
 				n.tr.noteCorrupt()
@@ -630,6 +642,19 @@ func (n *Node) handleConn(conn net.Conn) {
 			n.tr.noteCorrupt()
 		}
 	}
+}
+
+// frameBudget is the payload size a frame of the given type may claim: the
+// size stage of the admission pipeline, applied to the header alone. A
+// type this node does not speak has no budget at all.
+func (n *Node) frameBudget(typ byte) int {
+	switch typ {
+	case frameHello:
+		return maxHelloBytes
+	case frameModels, frameGen:
+		return n.cfg.MaxGenBytes
+	}
+	return 0
 }
 
 // validAddr reports whether a self-reported peer address is usable: a
@@ -686,11 +711,6 @@ func (n *Node) onHello(payload []byte) {
 }
 
 func (n *Node) onModels(payload []byte) {
-	// Same wire-size budget as a generation frame, before the decoder runs.
-	if len(payload) > n.cfg.MaxGenBytes {
-		n.tr.noteCorrupt()
-		return
-	}
 	sender, ms, err := decodeModelSet(payload)
 	if err != nil {
 		n.tr.noteCorrupt()
@@ -805,91 +825,96 @@ func (n *Node) taskLoop() {
 }
 
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	hdr := [5]byte{typ}
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := binary.LittleEndian.AppendUint32([]byte{typ}, uint32(len(payload)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
 	return err
 }
 
-func readFrame(r io.Reader) (byte, []byte, error) {
+// errOverBudget is readFrame's verdict on a frame whose header claimed more
+// than its type's budget: the payload was drained and the reader is at the
+// next frame.
+var errOverBudget = errors.New("realnet: frame exceeds its budget")
+
+// readFrame reads one frame. What a frame may cost is decided from its
+// 5-byte header alone: a payload over budget(typ) is drained unbuffered
+// and reported as errOverBudget, so a header is never worth more memory
+// than the budget the operator configured, and never worth any for as long
+// as the sender then stalls.
+func readFrame(r io.Reader, budget func(typ byte) int) (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	size := binary.LittleEndian.Uint32(hdr[1:])
+	typ, size := hdr[0], binary.LittleEndian.Uint32(hdr[1:])
 	if size > maxFrame {
 		return 0, nil, fmt.Errorf("realnet: frame of %d bytes exceeds limit", size)
+	}
+	if int(size) > budget(typ) {
+		if _, err := io.CopyN(io.Discard, r, int64(size)); err != nil {
+			return 0, nil, fmt.Errorf("realnet: draining an over-budget frame: %w", err)
+		}
+		return typ, nil, errOverBudget
 	}
 	payload := make([]byte, size)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}
-	return hdr[0], payload, nil
+	return typ, payload, nil
 }
 
 // ---------------------------------------------------------------------------
-// Payload encodings (built on internal/wire primitives)
+// Payload encodings: wire's append-style encoders and its bounds-checked
+// Cursor, the same two primitives the model-set codec is written on.
 
+// encodeHello lays a hello out as [n uint16] then n address strings. An
+// address too long to encode (only a misconfigured seed could be; the rest
+// came out of a listener or a u16-prefixed frame) is left out, and the
+// receiver refuses the short frame.
 func encodeHello(addrs []string) []byte {
-	var buf bytes.Buffer
-	_ = binary.Write(&buf, binary.LittleEndian, uint16(len(addrs)))
+	b := binary.LittleEndian.AppendUint16(nil, uint16(len(addrs)))
 	for _, a := range addrs {
-		_ = binary.Write(&buf, binary.LittleEndian, uint16(len(a)))
-		buf.WriteString(a)
+		b, _ = wire.AppendString(b, a)
 	}
-	return buf.Bytes()
+	return b
 }
 
 func decodeHello(payload []byte) ([]string, error) {
-	r := bytes.NewReader(payload)
-	var n uint16
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
+	c := wire.NewCursor(payload)
+	n := int(c.U16())
+	if n > maxHelloAddrs {
+		return nil, fmt.Errorf("realnet: hello claims %d addresses: %w", n, wire.ErrCorrupt)
 	}
-	if int(n) > 10000 {
-		return nil, errors.New("realnet: absurd hello")
+	// Not pre-sized from n: the count is a claim, the addresses are bytes.
+	var out []string
+	for i := 0; i < n && c.Err() == nil; i++ {
+		out = append(out, c.Str())
 	}
-	out := make([]string, 0, n)
-	for i := 0; i < int(n); i++ {
-		var l uint16
-		if err := binary.Read(r, binary.LittleEndian, &l); err != nil {
-			return nil, err
-		}
-		b := make([]byte, l)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, err
-		}
-		out = append(out, string(b))
+	if c.Err() != nil {
+		return nil, fmt.Errorf("realnet: hello: %w", c.Err())
 	}
 	return out, nil
 }
 
 func encodeModelSet(sender string, ms *ModelSet) ([]byte, error) {
-	var buf bytes.Buffer
-	_ = binary.Write(&buf, binary.LittleEndian, uint16(len(sender)))
-	buf.WriteString(sender)
-	if err := wire.WriteModelSet(&buf, toWire(ms)); err != nil {
+	b, err := wire.AppendString(nil, sender)
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return wire.AppendModelSet(b, toWire(ms))
 }
 
 func decodeModelSet(payload []byte) (string, *ModelSet, error) {
-	r := bytes.NewReader(payload)
-	var sl uint16
-	if err := binary.Read(r, binary.LittleEndian, &sl); err != nil {
-		return "", nil, err
+	c := wire.NewCursor(payload)
+	sender := c.Str()
+	if c.Err() != nil {
+		return "", nil, fmt.Errorf("realnet: model frame sender: %w", c.Err())
 	}
-	sb := make([]byte, sl)
-	if _, err := io.ReadFull(r, sb); err != nil {
-		return "", nil, err
-	}
-	set, err := wire.ReadModelSet(r)
+	set, err := wire.DecodeModelSet(c)
 	if err != nil {
-		return "", nil, err
+		return "", nil, fmt.Errorf("realnet: model frame: %w", err)
 	}
-	return string(sb), modelSetFromWire(set), nil
+	return sender, modelSetFromWire(set), nil
 }

@@ -1,12 +1,15 @@
 // Package wire provides the binary serialization of the objects peers
-// exchange — sparse vectors, linear models and kernel-SVM model sets. The
+// exchange — sparse vectors, linear models and calibrated model sets. The
 // simulator charges message sizes from analytic WireSize estimates; this
 // package is the deployable encoding those estimates model, and its tests
 // pin the two within tolerance so the cost accounting stays honest.
 //
 // Format: little-endian, length-prefixed. Vectors encode as
 // [n uint32] then n × ([index uint32][value float64]); strings as
-// [len uint16][bytes]. No reflection, no allocation surprises.
+// [len uint16][bytes]. Every payload a peer handles is complete in memory
+// before it is decoded (a frame, a file), so there is one codec over
+// bytes: encoders append to a []byte, decoders read through a
+// bounds-checked Cursor. No reflection, no allocation surprises.
 package wire
 
 import (
@@ -24,12 +27,12 @@ import (
 var ErrCorrupt = fmt.Errorf("wire: corrupt input")
 
 // Decoder allocation budgets. A length prefix is attacker-controlled and
-// costs the sender nothing, so no decoder may allocate proportionally to a
-// claimed length before the corresponding bytes have actually arrived:
-// slices grow incrementally (capped initial capacity) and dense weight
-// arrays are materialized only after their sparse entries were fully read.
-// The budgets below bound the decoded size a single call can reach even
-// when every prefix lies as hard as the caps allow.
+// costs the sender nothing, so no decoder allocates proportionally to a
+// claimed length before checking it against the bytes that actually
+// remain, and dense weight arrays are materialized only after their sparse
+// entries were found present. The budgets below bound the decoded size a
+// single call can reach even when every prefix lies as hard as the caps
+// allow.
 const (
 	// maxModelDim bounds one linear model's dense weight vector
 	// (128 MiB of float64 at the cap; honest models use HashDim 1<<16).
@@ -37,13 +40,18 @@ const (
 	// maxModelSetWeights bounds the total dense weights across every
 	// model of one decoded set (64 MiB of float64 at the cap).
 	maxModelSetWeights = 1 << 23
-	// maxKernelEntries bounds the total support-vector entries of one
-	// decoded kernel model (64 MiB of entries at the cap).
-	maxKernelEntries = 1 << 22
-	// initialAlloc caps the capacity any decoder pre-allocates from a
-	// length prefix alone.
-	initialAlloc = 4096
+	// maxEncodedBytes bounds what the io.Reader forms buffer before
+	// decoding (an honest set is a few hundred KB; realnet refuses frames
+	// past the same size).
+	maxEncodedBytes = 64 << 20
+	// entryBytes is one encoded (index uint32, value float64) pair;
+	// minModelRecord is the smallest encoded set member: an empty tag, a
+	// model header and three calibration floats.
+	entryBytes     = 12
+	minModelRecord = 2 + 16 + 24
 )
+
+var le = binary.LittleEndian
 
 // Checksum is the FNV-1a/64 digest of p. Gossip frames carry it over the
 // encoded model set so a corrupted or tampered payload is rejected before
@@ -63,50 +71,135 @@ func Checksum(p []byte) uint64 {
 	return h
 }
 
-// WriteVector encodes v.
-func WriteVector(w io.Writer, v *vector.Sparse) error {
-	entries := v.Entries()
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(entries))); err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if err := binary.Write(w, binary.LittleEndian, uint32(e.Index)); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, math.Float64bits(e.Value)); err != nil {
-			return err
-		}
-	}
-	return nil
+// Cursor is a bounds-checked read position over a payload held in memory.
+// The first read past the end records an ErrCorrupt-wrapping error and
+// every read after it returns zero, so a decoder reads a whole record and
+// checks Err once.
+type Cursor struct {
+	buf []byte
+	off int
+	err error
 }
 
-// ReadVector decodes a vector written by WriteVector. maxEntries bounds
-// allocation against corrupt length prefixes (0 = 1<<20).
+// NewCursor returns a cursor at the start of p.
+func NewCursor(p []byte) *Cursor { return &Cursor{buf: p} }
+
+// Err returns the error of the first failed read, or nil.
+func (c *Cursor) Err() error { return c.err }
+
+// Rest returns the bytes not yet read, without consuming them.
+func (c *Cursor) Rest() []byte { return c.buf[c.off:] }
+
+// Take consumes and returns the next n bytes (aliasing the payload), or nil
+// once the cursor has failed.
+func (c *Cursor) Take(n int) []byte {
+	if c.err != nil {
+		return nil
+	}
+	if n < 0 || n > len(c.buf)-c.off {
+		c.err = fmt.Errorf("%w: need %d bytes at offset %d, %d remain", ErrCorrupt, n, c.off, len(c.buf)-c.off)
+		c.off = len(c.buf)
+		return nil
+	}
+	p := c.buf[c.off : c.off+n]
+	c.off += n
+	return p
+}
+
+// U16 reads a little-endian uint16.
+func (c *Cursor) U16() uint16 {
+	if p := c.Take(2); p != nil {
+		return le.Uint16(p)
+	}
+	return 0
+}
+
+// U32 reads a little-endian uint32.
+func (c *Cursor) U32() uint32 {
+	if p := c.Take(4); p != nil {
+		return le.Uint32(p)
+	}
+	return 0
+}
+
+// U64 reads a little-endian uint64.
+func (c *Cursor) U64() uint64 {
+	if p := c.Take(8); p != nil {
+		return le.Uint64(p)
+	}
+	return 0
+}
+
+// F64 reads a float64 stored as its IEEE-754 bits.
+func (c *Cursor) F64() float64 { return math.Float64frombits(c.U64()) }
+
+// Str reads a [len uint16][bytes] string.
+func (c *Cursor) Str() string { return string(c.Take(int(c.U16()))) }
+
+// AppendString appends s as [len uint16][bytes].
+func AppendString(b []byte, s string) ([]byte, error) {
+	if len(s) > math.MaxUint16 {
+		return b, fmt.Errorf("wire: string too long (%d)", len(s))
+	}
+	return append(le.AppendUint16(b, uint16(len(s))), s...), nil
+}
+
+func appendEntry(b []byte, index uint32, value float64) []byte {
+	return le.AppendUint64(le.AppendUint32(b, index), math.Float64bits(value))
+}
+
+// readAll buffers what an io.Reader form decodes, up to maxEncodedBytes.
+func readAll(r io.Reader) (*Cursor, error) {
+	p, err := io.ReadAll(io.LimitReader(r, maxEncodedBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if len(p) > maxEncodedBytes {
+		return nil, fmt.Errorf("%w: more than %d encoded bytes", ErrCorrupt, maxEncodedBytes)
+	}
+	return NewCursor(p), nil
+}
+
+func appendVector(b []byte, v *vector.Sparse) []byte {
+	entries := v.Entries()
+	b = le.AppendUint32(b, uint32(len(entries)))
+	for _, e := range entries {
+		b = appendEntry(b, uint32(e.Index), e.Value)
+	}
+	return b
+}
+
+// WriteVector encodes v.
+func WriteVector(w io.Writer, v *vector.Sparse) error {
+	_, err := w.Write(appendVector(nil, v))
+	return err
+}
+
+// ReadVector decodes a vector written by WriteVector from everything r
+// holds. maxEntries bounds allocation against corrupt length prefixes
+// (0 = 1<<20).
 func ReadVector(r io.Reader, maxEntries int) (*vector.Sparse, error) {
+	c, err := readAll(r)
+	if err != nil {
+		return nil, err
+	}
 	if maxEntries <= 0 {
 		maxEntries = 1 << 20
 	}
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, fmt.Errorf("%w: vector length: %v", ErrCorrupt, err)
-	}
-	if int(n) > maxEntries {
+	n := c.U32()
+	if int64(n) > int64(maxEntries) {
 		return nil, fmt.Errorf("%w: vector claims %d entries (max %d)", ErrCorrupt, n, maxEntries)
 	}
-	// Grow incrementally: the claimed length alone must not size the
-	// allocation, or a 4-byte prefix buys the sender maxEntries worth of
-	// memory on a stream that then ends.
-	entries := make([]vector.Entry, 0, min(int(n), initialAlloc))
-	for i := 0; i < int(n); i++ {
-		var idx uint32
-		var bits uint64
-		if err := binary.Read(r, binary.LittleEndian, &idx); err != nil {
-			return nil, fmt.Errorf("%w: entry %d index: %v", ErrCorrupt, i, err)
-		}
-		if err := binary.Read(r, binary.LittleEndian, &bits); err != nil {
-			return nil, fmt.Errorf("%w: entry %d value: %v", ErrCorrupt, i, err)
-		}
-		entries = append(entries, vector.Entry{Index: int32(idx), Value: math.Float64frombits(bits)})
+	// Taken before anything is sized from n: a claimed length the payload
+	// does not back with bytes allocates nothing.
+	p := c.Take(entryBytes * int(n))
+	if c.Err() != nil {
+		return nil, fmt.Errorf("vector: %w", c.Err())
+	}
+	entries := make([]vector.Entry, n)
+	for i := range entries {
+		e := p[entryBytes*i:]
+		entries[i] = vector.Entry{Index: int32(le.Uint32(e)), Value: math.Float64frombits(le.Uint64(e[4:]))}
 	}
 	v, err := vector.FromEntries(entries)
 	if err != nil {
@@ -115,191 +208,65 @@ func ReadVector(r io.Reader, maxEntries int) (*vector.Sparse, error) {
 	return v, nil
 }
 
-func writeString(w io.Writer, s string) error {
-	if len(s) > math.MaxUint16 {
-		return fmt.Errorf("wire: string too long (%d)", len(s))
+// appendLinearModel encodes m sparsely (only non-zero weights) in one pass
+// over W: the non-zero count is patched in once it is known.
+func appendLinearModel(b []byte, m *svm.LinearModel) []byte {
+	b = le.AppendUint64(b, math.Float64bits(m.Bias))
+	b = le.AppendUint32(b, uint32(len(m.W)))
+	nnzAt := len(b)
+	b = le.AppendUint32(b, 0)
+	nnz := uint32(0)
+	for i, x := range m.W {
+		if x != 0 {
+			b = appendEntry(b, uint32(i), x)
+			nnz++
+		}
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint16(len(s))); err != nil {
-		return err
-	}
-	_, err := w.Write([]byte(s))
-	return err
-}
-
-func readString(r io.Reader) (string, error) {
-	var n uint16
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", fmt.Errorf("%w: string length: %v", ErrCorrupt, err)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("%w: string body: %v", ErrCorrupt, err)
-	}
-	return string(buf), nil
+	le.PutUint32(b[nnzAt:], nnz)
+	return b
 }
 
 // WriteLinearModel encodes m sparsely (only non-zero weights).
 func WriteLinearModel(w io.Writer, m *svm.LinearModel) error {
-	if err := binary.Write(w, binary.LittleEndian, math.Float64bits(m.Bias)); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(m.W))); err != nil {
-		return err
-	}
-	nnz := uint32(0)
-	for _, x := range m.W {
-		if x != 0 {
-			nnz++
-		}
-	}
-	if err := binary.Write(w, binary.LittleEndian, nnz); err != nil {
-		return err
-	}
-	for i, x := range m.W {
-		if x == 0 {
-			continue
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint32(i)); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, math.Float64bits(x)); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := w.Write(appendLinearModel(nil, m))
+	return err
 }
 
-// ReadLinearModel decodes a model written by WriteLinearModel.
+// ReadLinearModel decodes a model written by WriteLinearModel from
+// everything r holds.
 func ReadLinearModel(r io.Reader) (*svm.LinearModel, error) {
-	return readLinearModelCapped(r, maxModelDim)
+	c, err := readAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return decodeLinearModel(c, maxModelDim)
 }
 
-// readLinearModelCapped decodes one linear model with the dense dimension
-// capped at maxDim; ReadModelSet threads a shrinking budget through it so a
-// set of lying prefixes cannot multiply per-model allocations. The dense
-// weight array is materialized only after every sparse entry was actually
-// read — a claimed dim costs the sender nnz entries of real bytes first.
-func readLinearModelCapped(r io.Reader, maxDim int) (*svm.LinearModel, error) {
-	var bias uint64
-	if err := binary.Read(r, binary.LittleEndian, &bias); err != nil {
-		return nil, fmt.Errorf("%w: bias: %v", ErrCorrupt, err)
-	}
-	var dim, nnz uint32
-	if err := binary.Read(r, binary.LittleEndian, &dim); err != nil {
-		return nil, fmt.Errorf("%w: dim: %v", ErrCorrupt, err)
-	}
-	if err := binary.Read(r, binary.LittleEndian, &nnz); err != nil {
-		return nil, fmt.Errorf("%w: nnz: %v", ErrCorrupt, err)
-	}
-	if maxDim > maxModelDim || maxDim < 0 {
-		maxDim = maxModelDim
+// decodeLinearModel decodes one linear model with the dense dimension
+// capped at maxDim; DecodeModelSet threads a shrinking budget through it so
+// a set of lying prefixes cannot multiply per-model allocations. The dense
+// weight array is materialized only once every sparse entry is known to be
+// present — a claimed dim costs the sender nnz entries of real bytes first.
+func decodeLinearModel(c *Cursor, maxDim int) (*svm.LinearModel, error) {
+	bias, dim, nnz := c.F64(), c.U32(), c.U32()
+	if c.Err() != nil {
+		return nil, fmt.Errorf("linear model header: %w", c.Err())
 	}
 	if int64(dim) > int64(maxDim) || nnz > dim {
 		return nil, fmt.Errorf("%w: dim=%d nnz=%d (max dim %d)", ErrCorrupt, dim, nnz, maxDim)
 	}
-	type weight struct {
-		idx  uint32
-		bits uint64
+	p := c.Take(entryBytes * int(nnz))
+	if c.Err() != nil {
+		return nil, fmt.Errorf("linear model weights: %w", c.Err())
 	}
-	weights := make([]weight, 0, min(int(nnz), initialAlloc))
-	for i := uint32(0); i < nnz; i++ {
-		var wt weight
-		if err := binary.Read(r, binary.LittleEndian, &wt.idx); err != nil {
-			return nil, fmt.Errorf("%w: weight %d: %v", ErrCorrupt, i, err)
+	m := &svm.LinearModel{W: make([]float64, dim), Bias: bias}
+	for ; len(p) > 0; p = p[entryBytes:] {
+		idx := le.Uint32(p)
+		if idx >= dim {
+			return nil, fmt.Errorf("%w: weight index %d >= dim %d", ErrCorrupt, idx, dim)
 		}
-		if err := binary.Read(r, binary.LittleEndian, &wt.bits); err != nil {
-			return nil, fmt.Errorf("%w: weight %d: %v", ErrCorrupt, i, err)
-		}
-		if wt.idx >= dim {
-			return nil, fmt.Errorf("%w: weight index %d >= dim %d", ErrCorrupt, wt.idx, dim)
-		}
-		weights = append(weights, wt)
+		m.W[idx] = math.Float64frombits(le.Uint64(p[4:]))
 	}
-	m := &svm.LinearModel{W: make([]float64, dim), Bias: math.Float64frombits(bias)}
-	for _, wt := range weights {
-		m.W[wt.idx] = math.Float64frombits(wt.bits)
-	}
-	return m, nil
-}
-
-// WriteKernelModel encodes a kernel model: parameters, bias and support
-// vectors with coefficients.
-func WriteKernelModel(w io.Writer, m *svm.KernelModel) error {
-	hdr := []uint64{
-		uint64(m.Kernel.Kind),
-		math.Float64bits(m.Kernel.Gamma),
-		math.Float64bits(m.Kernel.Coef0),
-		uint64(m.Kernel.Degree),
-		math.Float64bits(m.Bias),
-	}
-	for _, h := range hdr {
-		if err := binary.Write(w, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(m.SVs))); err != nil {
-		return err
-	}
-	for _, sv := range m.SVs {
-		if err := binary.Write(w, binary.LittleEndian, math.Float64bits(sv.Coeff)); err != nil {
-			return err
-		}
-		if err := WriteVector(w, sv.X); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadKernelModel decodes a model written by WriteKernelModel.
-func ReadKernelModel(r io.Reader) (*svm.KernelModel, error) {
-	var hdr [5]uint64
-	for i := range hdr {
-		if err := binary.Read(r, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, fmt.Errorf("%w: kernel header: %v", ErrCorrupt, err)
-		}
-	}
-	// Checked as the unsigned header word: converted first, 0xFFFF…FFFF
-	// would become KernelKind(-1) and pass a signed upper-bound test.
-	if hdr[0] > uint64(svm.KernelPoly) {
-		return nil, fmt.Errorf("%w: kernel kind %d", ErrCorrupt, hdr[0])
-	}
-	m := &svm.KernelModel{
-		Kernel: svm.Kernel{
-			Kind:   svm.KernelKind(hdr[0]),
-			Gamma:  math.Float64frombits(hdr[1]),
-			Coef0:  math.Float64frombits(hdr[2]),
-			Degree: int(hdr[3]),
-		},
-		Bias: math.Float64frombits(hdr[4]),
-	}
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, fmt.Errorf("%w: SV count: %v", ErrCorrupt, err)
-	}
-	const maxSVs = 1 << 22
-	if n > maxSVs {
-		return nil, fmt.Errorf("%w: %d support vectors", ErrCorrupt, n)
-	}
-	// Shrinking entry budget across the whole model: many SVs each claiming
-	// the per-vector maximum must not multiply into gigabytes.
-	budget := maxKernelEntries
-	for i := uint32(0); i < n; i++ {
-		var bits uint64
-		if err := binary.Read(r, binary.LittleEndian, &bits); err != nil {
-			return nil, fmt.Errorf("%w: SV %d coeff: %v", ErrCorrupt, i, err)
-		}
-		if budget <= 0 {
-			return nil, fmt.Errorf("%w: kernel model exceeds %d total SV entries", ErrCorrupt, maxKernelEntries)
-		}
-		x, err := ReadVector(r, budget)
-		if err != nil {
-			return nil, err
-		}
-		budget -= x.Len()
-		m.SVs = append(m.SVs, svm.SupportVector{X: x, Coeff: math.Float64frombits(bits)})
-	}
-	m.Precompute() // rebuild the derived RBF norm cache (not serialized)
 	return m, nil
 }
 
@@ -312,95 +279,81 @@ type CalibratedModel struct {
 	Accuracy float64
 }
 
-// maxModelSetTags bounds a decoded model set against corrupt tag counts.
-const maxModelSetTags = 1 << 16
-
-// WriteModelSet encodes a per-tag calibrated model bank in sorted tag
-// order, so identical sets always serialize to identical bytes.
-func WriteModelSet(w io.Writer, set map[string]CalibratedModel) error {
+// AppendModelSet appends the encoding of a per-tag calibrated model bank
+// in sorted tag order, so identical sets always serialize to identical
+// bytes.
+func AppendModelSet(b []byte, set map[string]CalibratedModel) ([]byte, error) {
 	tags := make([]string, 0, len(set))
 	for tag := range set {
 		tags = append(tags, tag)
 	}
 	sort.Strings(tags)
-	if err := binary.Write(w, binary.LittleEndian, uint16(len(tags))); err != nil {
-		return err
-	}
+	b = le.AppendUint16(b, uint16(len(tags)))
 	for _, tag := range tags {
-		if err := writeString(w, tag); err != nil {
-			return err
+		var err error
+		if b, err = AppendString(b, tag); err != nil {
+			return nil, err
 		}
 		cm := set[tag]
-		if err := WriteLinearModel(w, cm.Model); err != nil {
-			return err
-		}
+		b = appendLinearModel(b, cm.Model)
 		for _, v := range [3]float64{cm.Platt.A, cm.Platt.B, cm.Accuracy} {
-			if err := binary.Write(w, binary.LittleEndian, math.Float64bits(v)); err != nil {
-				return err
-			}
+			b = le.AppendUint64(b, math.Float64bits(v))
 		}
 	}
-	return nil
+	return b, nil
 }
 
-// ReadModelSet decodes a bank written by WriteModelSet.
+// WriteModelSet encodes set (see AppendModelSet) to w.
+func WriteModelSet(w io.Writer, set map[string]CalibratedModel) error {
+	b, err := AppendModelSet(nil, set)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// ReadModelSet decodes a bank written by WriteModelSet from everything r
+// holds.
 func ReadModelSet(r io.Reader) (map[string]CalibratedModel, error) {
-	var n uint16
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, fmt.Errorf("%w: model set size: %v", ErrCorrupt, err)
+	c, err := readAll(r)
+	if err != nil {
+		return nil, err
 	}
-	if int(n) > maxModelSetTags {
-		return nil, fmt.Errorf("%w: model set claims %d tags", ErrCorrupt, n)
+	return DecodeModelSet(c)
+}
+
+// DecodeModelSet decodes a bank encoded by AppendModelSet, leaving c just
+// past it.
+func DecodeModelSet(c *Cursor) (map[string]CalibratedModel, error) {
+	n := int(c.U16())
+	if c.Err() != nil {
+		return nil, fmt.Errorf("model set size: %w", c.Err())
 	}
-	set := make(map[string]CalibratedModel, min(int(n), initialAlloc))
+	set := make(map[string]CalibratedModel, min(n, len(c.Rest())/minModelRecord))
 	// Shrinking weight budget across the whole set: every model's claimed
 	// dense dimension draws from it, so a set of lying prefixes is refused
-	// long before the per-tag cap times the per-model cap could multiply
+	// long before the tag count times the per-model cap could multiply
 	// into gigabytes.
 	budget := maxModelSetWeights
-	for i := 0; i < int(n); i++ {
-		tag, err := readString(r)
-		if err != nil {
-			return nil, err
+	for i := 0; i < n; i++ {
+		tag := c.Str()
+		if c.Err() != nil {
+			return nil, fmt.Errorf("model set tag %d: %w", i, c.Err())
 		}
 		if budget <= 0 {
 			return nil, fmt.Errorf("%w: model set exceeds %d total weights", ErrCorrupt, maxModelSetWeights)
 		}
-		m, err := readLinearModelCapped(r, budget)
+		m, err := decodeLinearModel(c, budget)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("tag %q: %w", tag, err)
 		}
 		budget -= len(m.W)
-		var bits [3]uint64
-		for j := range bits {
-			if err := binary.Read(r, binary.LittleEndian, &bits[j]); err != nil {
-				return nil, fmt.Errorf("%w: tag %q calibration: %v", ErrCorrupt, tag, err)
-			}
+		cm := CalibratedModel{Model: m, Platt: svm.PlattParams{A: c.F64(), B: c.F64()}, Accuracy: c.F64()}
+		if c.Err() != nil {
+			return nil, fmt.Errorf("tag %q calibration: %w", tag, c.Err())
 		}
-		set[tag] = CalibratedModel{
-			Model:    m,
-			Platt:    svm.PlattParams{A: math.Float64frombits(bits[0]), B: math.Float64frombits(bits[1])},
-			Accuracy: math.Float64frombits(bits[2]),
-		}
+		set[tag] = cm
 	}
 	return set, nil
-}
-
-// WriteTagged encodes a tag name followed by a vector — the unit of a
-// labeled-document transfer.
-func WriteTagged(w io.Writer, tag string, v *vector.Sparse) error {
-	if err := writeString(w, tag); err != nil {
-		return err
-	}
-	return WriteVector(w, v)
-}
-
-// ReadTagged decodes a WriteTagged pair.
-func ReadTagged(r io.Reader) (string, *vector.Sparse, error) {
-	tag, err := readString(r)
-	if err != nil {
-		return "", nil, err
-	}
-	v, err := ReadVector(r, 0)
-	return tag, v, err
 }

@@ -2,9 +2,7 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -131,89 +129,6 @@ func TestLinearModelCorrupt(t *testing.T) {
 	}
 }
 
-func TestKernelModelRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := &svm.KernelModel{
-		Kernel: svm.Kernel{Kind: svm.KernelRBF, Gamma: 0.5},
-		Bias:   0.25,
-	}
-	for i := 0; i < 8; i++ {
-		m.SVs = append(m.SVs, svm.SupportVector{X: randVec(rng, 20), Coeff: rng.NormFloat64()})
-	}
-	var buf bytes.Buffer
-	if err := WriteKernelModel(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadKernelModel(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Kernel != m.Kernel || got.Bias != m.Bias || len(got.SVs) != len(m.SVs) {
-		t.Fatalf("header mismatch: %+v", got)
-	}
-	// Decisions must agree exactly.
-	q := randVec(rng, 20)
-	if got.Decision(q) != m.Decision(q) {
-		t.Error("decoded model decides differently")
-	}
-}
-
-func TestKernelModelCorruptKind(t *testing.T) {
-	m := &svm.KernelModel{Kernel: svm.Kernel{Kind: svm.KernelLinear}}
-	var buf bytes.Buffer
-	if err := WriteKernelModel(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	data := append([]byte(nil), buf.Bytes()...)
-	data[0] = 0x7F // invalid kernel kind
-	if _, err := ReadKernelModel(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("invalid kind accepted: %v", err)
-	}
-}
-
-// TestReadKernelModelRejectsOutOfRangeKind: the kind header is a uint64 on
-// the wire; values that wrap negative when converted to the signed
-// KernelKind must be refused like any other unknown kind, not decoded into
-// a model that silently scores as linear.
-func TestReadKernelModelRejectsOutOfRangeKind(t *testing.T) {
-	for _, kind := range []uint64{math.MaxUint64, 1 << 63, uint64(svm.KernelPoly) + 1} {
-		if _, err := ReadKernelModel(bytes.NewReader(kernelFrameWithKind(kind))); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("kind %#x accepted: %v", kind, err)
-		}
-	}
-	if _, err := ReadKernelModel(bytes.NewReader(kernelFrameWithKind(uint64(svm.KernelPoly)))); err != nil {
-		t.Errorf("largest valid kind refused: %v", err)
-	}
-}
-
-// kernelFrameWithKind encodes a one-SV kernel model and overwrites its kind
-// header word.
-func kernelFrameWithKind(kind uint64) []byte {
-	m := &svm.KernelModel{Kernel: svm.Kernel{Kind: svm.KernelRBF, Gamma: 1}}
-	m.SVs = append(m.SVs, svm.SupportVector{X: vector.FromMap(map[int32]float64{0: 1}), Coeff: 1})
-	var buf bytes.Buffer
-	_ = WriteKernelModel(&buf, m)
-	data := buf.Bytes()
-	binary.LittleEndian.PutUint64(data, kind)
-	return data
-}
-
-func TestTaggedRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	v := randVec(rng, 30)
-	var buf bytes.Buffer
-	if err := WriteTagged(&buf, "music", v); err != nil {
-		t.Fatal(err)
-	}
-	tag, got, err := ReadTagged(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tag != "music" || !got.Equal(v) {
-		t.Errorf("tagged round trip: %q", tag)
-	}
-}
-
 func TestPropertyVectorRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -241,32 +156,6 @@ func FuzzReadVector(f *testing.F) {
 		v, err := ReadVector(bytes.NewReader(data), 1024)
 		if err == nil && v == nil {
 			t.Fatal("nil vector without error")
-		}
-	})
-}
-
-// FuzzReadKernelModel ensures arbitrary bytes never panic the decoder.
-func FuzzReadKernelModel(f *testing.F) {
-	f.Add(kernelFrameWithKind(uint64(svm.KernelRBF)))
-	f.Add([]byte{})
-	f.Add(kernelFrameWithKind(math.MaxUint64)) // wraps to KernelKind(-1)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		km, err := ReadKernelModel(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if km == nil {
-			t.Fatal("nil model without error")
-		}
-		if k := km.Kernel.Kind; k < svm.KernelLinear || k > svm.KernelPoly {
-			t.Fatalf("decoded unknown kernel kind %v", k)
-		}
-		total := 0
-		for _, sv := range km.SVs {
-			total += sv.X.Len()
-		}
-		if total > 1<<22 {
-			t.Fatalf("decoded kernel model holds %d SV entries past the budget", total)
 		}
 	})
 }
