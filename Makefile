@@ -21,19 +21,18 @@ fmt:
 	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l reports:"; echo "$$out"; exit 1; }
 
 # dmtvet: the repo's custom determinism/safety analyzers (internal/lint),
-# a required CI step. Run it the same way CI does. Repeat runs are cheap:
-# dmtvet caches its diagnostics keyed on the analyzer set, source file
-# hashes and dependency export data, so an unchanged tree replays
-# instantly (-nocache opts out).
+# a required CI step. Run it the same way CI does (about a second).
 lint:
 	go run ./cmd/dmtvet ./...
 
-# Fuzz the wire decoders: first replay the committed seed corpus
-# (deterministic, what CI runs on every push), then a short live fuzzing
-# smoke against ReadModelSet. Grow the corpus with -fuzztime as needed;
-# new crashers land under internal/wire/testdata/fuzz/ — commit them.
+# Fuzz the wire and frame decoders: first replay the committed seed
+# corpora (deterministic, what CI runs on every push), then a short live
+# fuzzing smoke against ReadModelSet. Grow a corpus with -fuzztime as
+# needed; new crashers land under the package's testdata/fuzz/ — commit
+# them.
 fuzz:
 	go test ./internal/wire -run 'Fuzz' -count=1
+	go test ./internal/realnet -run Fuzz -count=1
 	go test ./internal/wire -run '^$$' -fuzz 'FuzzReadModelSet' -fuzztime 10s
 
 check: build vet fmt lint race

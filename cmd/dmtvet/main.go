@@ -10,22 +10,12 @@
 //	-list                   list analyzers and exit
 //	-json                   emit diagnostics as a JSON array (waived ones
 //	                        included, marked) instead of text
-//	-diff ref               only report diagnostics on lines changed
-//	                        relative to the git ref (e.g. -diff origin/main)
 //	-github                 also emit GitHub Actions ::error annotations
-//	-nocache                disable the diagnostic cache
 //
 // Packages default to ./... resolved against the enclosing module root,
 // so the command behaves identically from any directory in the repo — and
 // identically in CI, where it is a required step next to go vet. dmtvet
-// exits 1 when any unwaived diagnostic survives the filters, 2 on usage
-// or load errors.
-//
-// Runs are cached: a run whose analyzer set, source files and dependency
-// export data hash to a previously seen key replays its diagnostics
-// without type-checking anything (the cache lives under the user cache
-// directory; -nocache opts out, and any cache error silently degrades to
-// a full run).
+// exits 1 on any unwaived diagnostic, 2 on usage or load errors.
 //
 // Suppress a finding surgically with a comment on (or directly above) the
 // offending line:
@@ -37,14 +27,10 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"strconv"
 	"strings"
 
 	"repro/internal/lint"
@@ -56,9 +42,7 @@ func main() {
 		runList  = flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 		listOnly = flag.Bool("list", false, "list analyzers and exit")
 		jsonOut  = flag.Bool("json", false, "emit diagnostics as JSON")
-		diffRef  = flag.String("diff", "", "only report diagnostics on lines changed vs this git ref")
 		github   = flag.Bool("github", false, "emit GitHub Actions ::error annotations")
-		noCache  = flag.Bool("nocache", false, "disable the diagnostic cache")
 	)
 	flag.Parse()
 
@@ -104,27 +88,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := analysis.Options{}
-	if !*noCache {
-		if base, err := os.UserCacheDir(); err == nil {
-			opts.CacheDir = filepath.Join(base, "dmtvet")
-		}
-	}
-
-	res, err := analysis.RunModule(root, patterns, analyzers, opts)
+	diags, err := analysis.RunModule(root, patterns, analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dmtvet:", err)
 		os.Exit(2)
-	}
-
-	diags := res.Diags
-	if *diffRef != "" {
-		changed, err := changedLines(root, *diffRef)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dmtvet:", err)
-			os.Exit(2)
-		}
-		diags = filterChanged(root, diags, changed)
 	}
 
 	failing := 0
@@ -181,75 +148,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dmtvet: %d diagnostic(s)\n", failing)
 		os.Exit(1)
 	}
-}
-
-// changedLines parses `git diff --unified=0 ref` and returns, per
-// repo-relative file path, the set of line numbers added or modified
-// relative to ref.
-func changedLines(root, ref string) (map[string]map[int]bool, error) {
-	cmd := exec.Command("git", "-C", root, "diff", "--unified=0", "--no-color", ref, "--", "*.go")
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("git diff %s: %v", ref, err)
-	}
-	changed := map[string]map[int]bool{}
-	var cur string
-	sc := bufio.NewScanner(out)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "+++ b/"):
-			cur = strings.TrimPrefix(line, "+++ b/")
-		case strings.HasPrefix(line, "+++ "):
-			cur = "" // deleted file or /dev/null
-		case strings.HasPrefix(line, "@@ ") && cur != "":
-			// @@ -a[,b] +c[,d] @@ — c is the first new line, d the count.
-			fields := strings.Fields(line)
-			for _, f := range fields[1:] {
-				if !strings.HasPrefix(f, "+") {
-					continue
-				}
-				start, count := 1, 1
-				spec := strings.TrimPrefix(f, "+")
-				if i := strings.IndexByte(spec, ','); i >= 0 {
-					count, _ = strconv.Atoi(spec[i+1:])
-					spec = spec[:i]
-				}
-				start, _ = strconv.Atoi(spec)
-				m := changed[cur]
-				if m == nil {
-					m = map[int]bool{}
-					changed[cur] = m
-				}
-				for l := start; l < start+count; l++ {
-					m[l] = true
-				}
-				break
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if err := cmd.Wait(); err != nil {
-		return nil, fmt.Errorf("git diff %s: %v", ref, err)
-	}
-	return changed, nil
-}
-
-// filterChanged keeps only diagnostics landing on changed lines.
-func filterChanged(root string, diags []analysis.ResultDiagnostic, changed map[string]map[int]bool) []analysis.ResultDiagnostic {
-	var out []analysis.ResultDiagnostic
-	for _, d := range diags {
-		rel := filepath.ToSlash(analysis.RelPath(root, d.File))
-		if changed[rel][d.Line] {
-			out = append(out, d)
-		}
-	}
-	return out
 }

@@ -297,9 +297,8 @@
 //     itself a diagnostic, so suppressions stay honest.
 //
 // Run `go run ./cmd/dmtvet ./...` (or `make lint`) locally — identical to
-// CI (runs are content-hash cached; -nocache opts out, -json and
-// -diff <ref> serve machine consumers and review workflows). Surgical
-// exceptions use a mandatory-reason waiver comment on or directly above
+// CI (-json serves machine consumers, -run narrows the analyzer set).
+// Surgical exceptions use a mandatory-reason waiver comment on or directly above
 // the offending line:
 //
 //	//dmtvet:allow <analyzer> <reason>

@@ -258,58 +258,3 @@ func TestFuncIDStability(t *testing.T) {
 		}
 	}
 }
-
-// TestDiagnosticCache runs the same module pattern twice against one cache
-// directory: the second run must replay without analyzing, and a changed
-// analyzer set must miss.
-func TestDiagnosticCache(t *testing.T) {
-	if testing.Short() {
-		t.Skip("module-level go list run")
-	}
-	root, err := ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cacheDir := t.TempDir()
-	opts := Options{CacheDir: cacheDir}
-	analyzers := []*Analyzer{always}
-
-	first, err := RunModule(root, []string{"./internal/wire/..."}, analyzers, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.CacheHit {
-		t.Error("first run reported a cache hit")
-	}
-	if len(first.Diags) == 0 {
-		t.Fatal("test analyzer produced no diagnostics")
-	}
-
-	second, err := RunModule(root, []string{"./internal/wire/..."}, analyzers, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.CacheHit {
-		t.Error("identical second run missed the cache")
-	}
-	if len(second.Diags) != len(first.Diags) {
-		t.Fatalf("replayed %d diagnostics, want %d", len(second.Diags), len(first.Diags))
-	}
-	for i := range second.Diags {
-		f, s := first.Diags[i], second.Diags[i]
-		if f.Analyzer != s.Analyzer || f.File != s.File || f.Line != s.Line ||
-			f.Col != s.Col || f.Message != s.Message || f.Waived != s.Waived {
-			t.Errorf("diag %d differs after replay:\n  live:   %+v\n  cached: %+v", i, f, s)
-		}
-	}
-
-	// A different analyzer set keys differently.
-	renamed := &Analyzer{Name: "always2", Doc: always.Doc, Run: always.Run}
-	third, err := RunModule(root, []string{"./internal/wire/..."}, []*Analyzer{renamed}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if third.CacheHit {
-		t.Error("changed analyzer set hit the stale cache entry")
-	}
-}

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"go/token"
-	"io"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -40,14 +39,11 @@ func RegisterWaiverNames(names ...string) {
 	}
 }
 
-// ResultDiagnostic is one finding attributed to its analyzer. Waived
-// findings are retained (with Waived set) so machine consumers can see
-// them; the text printers skip them. File/Line/Col duplicate Pos so that
-// diagnostics replayed from the cache — where no FileSet exists — still
-// carry positions.
+// ResultDiagnostic is one finding attributed to its analyzer, at a
+// resolved position. Waived findings are retained (with Waived set) so
+// machine consumers can see them; the text printers skip them.
 type ResultDiagnostic struct {
 	Analyzer string
-	Pos      token.Pos
 	File     string
 	Line     int
 	Col      int
@@ -113,8 +109,8 @@ func scanWaivers(fset *token.FileSet, pkg *Package, known map[string]bool) (map[
 func driverDiag(fset *token.FileSet, pos token.Pos, msg string) ResultDiagnostic {
 	p := fset.Position(pos)
 	return ResultDiagnostic{
-		Analyzer: driverName, Pos: pos,
-		File: p.Filename, Line: p.Line, Col: p.Column,
+		Analyzer: driverName,
+		File:     p.Filename, Line: p.Line, Col: p.Column,
 		Message: msg,
 	}
 }
@@ -148,8 +144,8 @@ func RunPackage(prog *Program, pkg *Package, analyzers []*Analyzer) ([]ResultDia
 		pass.Report = func(d Diagnostic) {
 			p := fset.Position(d.Pos)
 			rd := ResultDiagnostic{
-				Analyzer: name, Pos: d.Pos,
-				File: p.Filename, Line: p.Line, Col: p.Column,
+				Analyzer: name,
+				File:     p.Filename, Line: p.Line, Col: p.Column,
 				Message: d.Message,
 			}
 			if rec := waived[waiverKey{p.Filename, p.Line, name}]; rec != nil {
@@ -192,55 +188,15 @@ func RunPackage(prog *Program, pkg *Package, analyzers []*Analyzer) ([]ResultDia
 	return diags, nil
 }
 
-// Options configures a module-level run.
-type Options struct {
-	// CacheDir, when non-empty, enables the diagnostic cache: a run whose
-	// analyzer set, source files and dependency export data all hash to a
-	// previously seen key replays the stored diagnostics without
-	// type-checking anything.
-	CacheDir string
-}
-
-// Result is the outcome of one module-level run.
-type Result struct {
-	// Diags holds every diagnostic, waived ones included, sorted by
-	// package then position. File paths are absolute.
-	Diags []ResultDiagnostic
-
-	// CacheHit is true when the diagnostics were replayed from the cache.
-	CacheHit bool
-
-	// Packages is the number of packages analyzed (0 on a cache hit).
-	Packages int
-}
-
-// Unwaived counts the diagnostics that survive waivers — the ones that
-// fail a run.
-func (r *Result) Unwaived() int {
-	n := 0
-	for _, d := range r.Diags {
-		if !d.Waived {
-			n++
-		}
-	}
-	return n
-}
-
 // RunModule loads the packages matched by patterns in the module rooted
 // at moduleDir, builds the whole-program summaries, and applies the
-// analyzers to every package.
-func RunModule(moduleDir string, patterns []string, analyzers []*Analyzer, opts Options) (*Result, error) {
+// analyzers to every package. It returns every diagnostic, waived ones
+// included, sorted by package then position, with absolute file paths.
+func RunModule(moduleDir string, patterns []string, analyzers []*Analyzer) ([]ResultDiagnostic, error) {
 	e := NewExports(moduleDir)
 	listed, err := e.goList(patterns...)
 	if err != nil {
 		return nil, err
-	}
-	key := ""
-	if opts.CacheDir != "" {
-		key = cacheKey(moduleDir, analyzers, listed)
-		if diags, ok := loadCachedDiags(opts.CacheDir, moduleDir, key); ok {
-			return &Result{Diags: diags, CacheHit: true}, nil
-		}
 	}
 	fset := token.NewFileSet()
 	pkgs, err := checkListed(e, fset, listed)
@@ -248,37 +204,15 @@ func RunModule(moduleDir string, patterns []string, analyzers []*Analyzer, opts 
 		return nil, err
 	}
 	prog := NewProgram(fset, pkgs)
-	res := &Result{Packages: len(pkgs)}
+	var all []ResultDiagnostic
 	for _, pkg := range prog.Pkgs {
 		diags, err := RunPackage(prog, pkg, analyzers)
 		if err != nil {
 			return nil, err
 		}
-		res.Diags = append(res.Diags, diags...)
+		all = append(all, diags...)
 	}
-	if key != "" {
-		saveCachedDiags(opts.CacheDir, moduleDir, key, res.Diags)
-	}
-	return res, nil
-}
-
-// Run loads the packages matched by patterns, applies the analyzers, and
-// prints unwaived diagnostics to w as "path:line:col: analyzer: message"
-// with paths relative to moduleDir. It returns the number printed.
-func Run(moduleDir string, patterns []string, analyzers []*Analyzer, w io.Writer) (int, error) {
-	res, err := RunModule(moduleDir, patterns, analyzers, Options{})
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, d := range res.Diags {
-		if d.Waived {
-			continue
-		}
-		fmt.Fprintf(w, "%s:%d:%d: %s: %s\n", RelPath(moduleDir, d.File), d.Line, d.Col, d.Analyzer, d.Message)
-		total++
-	}
-	return total, nil
+	return all, nil
 }
 
 // RelPath renders file relative to root when it lies beneath it.
