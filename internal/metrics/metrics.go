@@ -4,7 +4,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -34,26 +33,19 @@ func (s LabelSet) Slice() []string {
 // multi-label measures. Add every (gold, predicted) pair, then read the
 // measures.
 type MultiLabel struct {
-	docs          int
-	tp, fp, fn    float64 // micro counts
-	perTag        map[string]*tagCounts
-	hammingNum    float64
-	hammingDenom  float64
-	exactMatches  int
-	universeKnown bool
-	universeSize  int
+	docs         int
+	tp, fp, fn   float64 // micro counts
+	perTag       map[string]*tagCounts
+	exactMatches int
 }
 
 type tagCounts struct{ tp, fp, fn float64 }
 
-// NewMultiLabel returns an empty accumulator. universeSize (the number of
-// possible tags) is needed for Hamming loss; pass 0 to skip it.
-func NewMultiLabel(universeSize int) *MultiLabel {
-	return &MultiLabel{
-		perTag:        make(map[string]*tagCounts),
-		universeKnown: universeSize > 0,
-		universeSize:  universeSize,
-	}
+// NewMultiLabel returns an empty accumulator. No measure needs the size
+// of the tag universe any more; the argument stays only because bench/,
+// whose sources a PR may not touch alongside other code, passes one.
+func NewMultiLabel(_ int) *MultiLabel {
+	return &MultiLabel{perTag: make(map[string]*tagCounts)}
 }
 
 // Add records one document's gold and predicted tag sets.
@@ -80,22 +72,6 @@ func (m *MultiLabel) Add(gold, pred LabelSet) {
 	}
 	if exact {
 		m.exactMatches++
-	}
-	if m.universeKnown {
-		// Hamming loss: symmetric difference / universe size.
-		diff := 0
-		for t := range pred {
-			if !gold[t] {
-				diff++
-			}
-		}
-		for t := range gold {
-			if !pred[t] {
-				diff++
-			}
-		}
-		m.hammingNum += float64(diff)
-		m.hammingDenom += float64(m.universeSize)
 	}
 }
 
@@ -170,15 +146,6 @@ func (m *MultiLabel) MacroF1() float64 {
 		}
 	}
 	return sum / float64(len(m.perTag))
-}
-
-// HammingLoss returns the average per-tag disagreement rate, or NaN when
-// the universe size was unknown.
-func (m *MultiLabel) HammingLoss() float64 {
-	if !m.universeKnown || m.hammingDenom == 0 {
-		return math.NaN()
-	}
-	return m.hammingNum / m.hammingDenom
 }
 
 // SubsetAccuracy returns the fraction of documents whose predicted set

@@ -19,10 +19,6 @@ func TestMicroMetricsKnownValues(t *testing.T) {
 	if f := m.MicroF1(); f != 0.5 {
 		t.Errorf("F1 = %v, want 0.5", f)
 	}
-	// Hamming: symmetric difference {b,c} = 2 over universe 4.
-	if h := m.HammingLoss(); h != 0.5 {
-		t.Errorf("Hamming = %v, want 0.5", h)
-	}
 	if s := m.SubsetAccuracy(); s != 0 {
 		t.Errorf("subset = %v, want 0", s)
 	}
@@ -31,7 +27,7 @@ func TestMicroMetricsKnownValues(t *testing.T) {
 func TestPerfectPrediction(t *testing.T) {
 	m := NewMultiLabel(10)
 	m.Add(NewLabelSet([]string{"x", "y"}), NewLabelSet([]string{"x", "y"}))
-	if m.MicroF1() != 1 || m.SubsetAccuracy() != 1 || m.HammingLoss() != 0 {
+	if m.MicroF1() != 1 || m.SubsetAccuracy() != 1 {
 		t.Errorf("perfect prediction scored %v", m)
 	}
 }
@@ -44,14 +40,6 @@ func TestEmptyPredictions(t *testing.T) {
 	}
 	if r := m.MicroRecall(); r != 0 {
 		t.Errorf("recall = %v, want 0", r)
-	}
-}
-
-func TestHammingNaNWithoutUniverse(t *testing.T) {
-	m := NewMultiLabel(0)
-	m.Add(NewLabelSet([]string{"a"}), NewLabelSet([]string{"a"}))
-	if !math.IsNaN(m.HammingLoss()) {
-		t.Error("Hamming should be NaN without universe size")
 	}
 }
 
@@ -157,8 +145,7 @@ func TestPropertyF1Bounds(t *testing.T) {
 		m := NewMultiLabel(26)
 		m.Add(gold, pred)
 		f1 := m.MicroF1()
-		h := m.HammingLoss()
-		return f1 >= 0 && f1 <= 1 && h >= 0 && h <= 1
+		return f1 >= 0 && f1 <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

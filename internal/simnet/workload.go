@@ -152,12 +152,3 @@ func (w *Workload) Checksum() uint64 {
 	}
 	return h.Sum64()
 }
-
-// Deliveries reports the total number of messages handled so far.
-func (w *Workload) Deliveries() int64 {
-	var n int64
-	for _, c := range w.recv {
-		n += c
-	}
-	return n
-}

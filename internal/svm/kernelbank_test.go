@@ -163,7 +163,7 @@ func TestKernelBankEmpty(t *testing.T) {
 }
 
 // TestNewKernelBankRejects: a bank cannot mix kernels or score a kind the
-// kernel switch does not know (wire.ReadKernelModel refuses the same kinds).
+// kernel switch does not know.
 func TestNewKernelBankRejects(t *testing.T) {
 	x := vector.FromMap(map[int32]float64{1: 1})
 	model := func(k Kernel) *KernelModel {

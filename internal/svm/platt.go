@@ -131,20 +131,6 @@ func PlattCalibrate(decisions []float64, labels []float64) PlattParams {
 	return PlattParams{A: A, B: B}
 }
 
-// CalibrateOn fits Platt parameters for classifier c using its decisions on
-// the given examples. NOTE: calibrating on the model's own training data
-// biases the sigmoid steep (the model is overconfident in-sample); prefer
-// the CrossVal variants, which reproduce LibSVM's internal-CV calibration.
-func CalibrateOn(c Classifier, data []Example) PlattParams {
-	decisions := make([]float64, len(data))
-	labels := make([]float64, len(data))
-	for i, ex := range data {
-		decisions[i] = c.Decision(ex.X)
-		labels[i] = ex.Y
-	}
-	return PlattCalibrate(decisions, labels)
-}
-
 // CrossValDecisions produces out-of-sample decision values for every
 // example via stratified k-fold cross-validation: each example is scored by
 // a model that did not train on it. train returns a classifier for a

@@ -1,10 +1,10 @@
 // Package svm implements the base learners of CEMPaR and PACE from scratch:
-// a linear SVM trained by dual coordinate descent (with a Pegasos SGD
-// alternative), a kernel SVM trained by SMO, and the cascade-SVM merge step
-// used at CEMPaR super-peers, plus Platt calibration, weight pruning and
-// noise perturbation for shipped models. The binary wire encoding lives in
-// internal/wire; WireSize methods here are the analytic size estimates the
-// network simulator charges.
+// a linear SVM trained by dual coordinate descent, a kernel SVM trained by
+// SMO, and the cascade-SVM merge step used at CEMPaR super-peers, plus Platt
+// calibration, weight pruning and noise perturbation for shipped models.
+// The binary wire encoding of linear models lives in internal/wire;
+// WireSize methods here are the analytic size estimates the network
+// simulator charges.
 package svm
 
 import (
@@ -285,56 +285,6 @@ func TrainLinear(data []Example, opts LinearOptions) (*LinearModel, error) {
 		}
 		if maxPG < opts.Tol {
 			break
-		}
-	}
-	return &LinearModel{W: w, Bias: bias}, nil
-}
-
-// PegasosOptions configures stochastic sub-gradient training.
-type PegasosOptions struct {
-	// Lambda is the regularization strength; default 1e-4.
-	Lambda float64
-	// Iterations is the number of SGD steps; default 20*len(data).
-	Iterations int
-	// Dim forces dimensionality; 0 infers from data.
-	Dim int
-	// Seed drives sampling.
-	Seed int64
-}
-
-// TrainPegasos fits a linear SVM with the Pegasos primal sub-gradient
-// method (Shalev-Shwartz et al.). It is cheaper per step than coordinate
-// descent and is offered as the low-resource alternative for weak peers.
-func TrainPegasos(data []Example, opts PegasosOptions) (*LinearModel, error) {
-	if err := validate(data); err != nil {
-		return nil, err
-	}
-	if opts.Lambda == 0 {
-		opts.Lambda = 1e-4
-	}
-	if opts.Iterations == 0 {
-		opts.Iterations = 20 * len(data)
-	}
-	dim := opts.Dim
-	for _, ex := range data {
-		if int(ex.X.MaxIndex())+1 > dim {
-			dim = int(ex.X.MaxIndex()) + 1
-		}
-	}
-	w := make([]float64, dim)
-	var bias float64
-	rng := rand.New(rand.NewSource(opts.Seed))
-	for t := 1; t <= opts.Iterations; t++ {
-		ex := data[rng.Intn(len(data))]
-		eta := 1 / (opts.Lambda * float64(t))
-		margin := ex.Y * (ex.X.DotDense(w) + bias)
-		scale := 1 - eta*opts.Lambda
-		for i := range w {
-			w[i] *= scale
-		}
-		if margin < 1 {
-			ex.X.AddDense(w, eta*ex.Y)
-			bias += eta * ex.Y
 		}
 	}
 	return &LinearModel{W: w, Bias: bias}, nil

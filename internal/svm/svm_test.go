@@ -73,19 +73,6 @@ func TestTrainLinearSeparable(t *testing.T) {
 	}
 }
 
-func TestTrainPegasosSeparable(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	train := gaussianBlobs(rng, 300, 5, 2.0)
-	test := gaussianBlobs(rng, 200, 5, 2.0)
-	m, err := TrainPegasos(train, PegasosOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc := Accuracy(m, test); acc < 0.9 {
-		t.Errorf("pegasos accuracy = %v, want >= 0.9", acc)
-	}
-}
-
 func TestTrainKernelRBFSolvesXOR(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	train := xorData(rng, 120)

@@ -556,11 +556,6 @@ func (p *Preprocessor) featureIDBytes(term []byte) int32 {
 	return p.lexicon.IDBytes(term)
 }
 
-// VectorizeAll maps Vectorize over texts serially.
-func (p *Preprocessor) VectorizeAll(texts []string) []*vector.Sparse {
-	return p.VectorizeBatch(texts, 1)
-}
-
 // packedTerms carries one document's filtered, stemmed terms between the
 // parallel and serial phases of VectorizeBatch: term i is
 // arena[offs[i]:offs[i+1]].

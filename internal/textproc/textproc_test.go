@@ -269,7 +269,7 @@ func TestVectorizeTFIDFDampsCommonTerms(t *testing.T) {
 
 func TestVectorizeAllSharesLexicon(t *testing.T) {
 	p := NewPreprocessor(nil, Options{})
-	vs := p.VectorizeAll([]string{"dog cat", "cat mouse"})
+	vs := p.VectorizeBatch([]string{"dog cat", "cat mouse"}, 1)
 	if len(vs) != 2 {
 		t.Fatalf("got %d vectors", len(vs))
 	}
