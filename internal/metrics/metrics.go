@@ -41,9 +41,9 @@ type MultiLabel struct {
 
 type tagCounts struct{ tp, fp, fn float64 }
 
-// NewMultiLabel returns an empty accumulator. No measure needs the size
-// of the tag universe any more; the argument stays only because bench/,
-// whose sources a PR may not touch alongside other code, passes one.
+// NewMultiLabel returns an empty accumulator. The argument (once the size
+// of the tag universe) is ignored; it stays because bench/, frozen while
+// other code changes, passes one.
 func NewMultiLabel(_ int) *MultiLabel {
 	return &MultiLabel{perTag: make(map[string]*tagCounts)}
 }

@@ -612,13 +612,14 @@ func (n *Node) acceptLoop() {
 }
 
 func (n *Node) handleConn(conn net.Conn) {
+	budget := n.frameBudget
 	for {
 		// Refresh the read deadline per frame: a connection dies after
 		// FrameTimeout of silence, never merely for being long-lived.
 		// (Regression: a single deadline set at accept killed an actively
 		// gossiping connection 30s in, mid-frame-stream.)
 		_ = conn.SetReadDeadline(time.Now().Add(n.cfg.FrameTimeout))
-		typ, payload, err := readFrame(conn, n.frameBudget)
+		typ, payload, err := readFrame(conn, budget)
 		if errors.Is(err, errOverBudget) {
 			// Drained, never buffered; the connection is still in frame sync.
 			n.tr.noteCorrupt()
@@ -825,8 +826,9 @@ func (n *Node) taskLoop() {
 }
 
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	hdr := binary.LittleEndian.AppendUint32([]byte{typ}, uint32(len(payload)))
-	if _, err := w.Write(hdr); err != nil {
+	hdr := [5]byte{typ}
+	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
+	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -909,10 +911,7 @@ func encodeModelSet(sender string, ms *ModelSet) ([]byte, error) {
 func decodeModelSet(payload []byte) (string, *ModelSet, error) {
 	c := wire.NewCursor(payload)
 	sender := c.Str()
-	if c.Err() != nil {
-		return "", nil, fmt.Errorf("realnet: model frame sender: %w", c.Err())
-	}
-	set, err := wire.DecodeModelSet(c)
+	set, err := wire.DecodeModelSet(c) // reports a sender that failed to read, too
 	if err != nil {
 		return "", nil, fmt.Errorf("realnet: model frame: %w", err)
 	}

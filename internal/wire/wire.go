@@ -76,8 +76,7 @@ func Checksum(p []byte) uint64 {
 // every read after it returns zero, so a decoder reads a whole record and
 // checks Err once.
 type Cursor struct {
-	buf []byte
-	off int
+	buf []byte // what is left to read
 	err error
 }
 
@@ -88,7 +87,7 @@ func NewCursor(p []byte) *Cursor { return &Cursor{buf: p} }
 func (c *Cursor) Err() error { return c.err }
 
 // Rest returns the bytes not yet read, without consuming them.
-func (c *Cursor) Rest() []byte { return c.buf[c.off:] }
+func (c *Cursor) Rest() []byte { return c.buf }
 
 // Take consumes and returns the next n bytes (aliasing the payload), or nil
 // once the cursor has failed.
@@ -96,13 +95,13 @@ func (c *Cursor) Take(n int) []byte {
 	if c.err != nil {
 		return nil
 	}
-	if n < 0 || n > len(c.buf)-c.off {
-		c.err = fmt.Errorf("%w: need %d bytes at offset %d, %d remain", ErrCorrupt, n, c.off, len(c.buf)-c.off)
-		c.off = len(c.buf)
+	if n < 0 || n > len(c.buf) {
+		c.err = fmt.Errorf("%w: need %d bytes, %d remain", ErrCorrupt, n, len(c.buf))
+		c.buf = nil
 		return nil
 	}
-	p := c.buf[c.off : c.off+n]
-	c.off += n
+	p := c.buf[:n]
+	c.buf = c.buf[n:]
 	return p
 }
 
@@ -338,9 +337,6 @@ func DecodeModelSet(c *Cursor) (map[string]CalibratedModel, error) {
 	budget := maxModelSetWeights
 	for i := 0; i < n; i++ {
 		tag := c.Str()
-		if c.Err() != nil {
-			return nil, fmt.Errorf("model set tag %d: %w", i, c.Err())
-		}
 		if budget <= 0 {
 			return nil, fmt.Errorf("%w: model set exceeds %d total weights", ErrCorrupt, maxModelSetWeights)
 		}
