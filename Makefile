@@ -1,7 +1,7 @@
 # Local targets mirror the CI job (.github/workflows/ci.yml) exactly, so
 # a green `make check` predicts a green required-checks run.
 
-.PHONY: build test race lint vet fmt fuzz check bench benchdiff benchpair
+.PHONY: build test race lint vet fmt fuzz check flake bench benchdiff benchpair
 
 build:
 	go build ./...
@@ -36,6 +36,14 @@ fuzz:
 	go test ./internal/wire -run '^$$' -fuzz 'FuzzReadModelSet' -fuzztime 10s
 
 check: build vet fmt lint race
+
+# Flake hunt over the packages whose tests run on the wall clock: 20 plain
+# runs, then 5 race runs at each of 1, 2 and 4 CPUs. A failure is triaged
+# to a seed or a gate, never retried. CI runs it weekly.
+FLAKE_PKGS = . ./internal/serving ./internal/realnet ./cmd/p2pserve
+flake:
+	go test -count=20 $(FLAKE_PKGS)
+	go test -race -count=5 -cpu 1,2,4 $(FLAKE_PKGS)
 
 # The repository's one benchmark harness (BENCHMARK.json: workloads,
 # metrics, run_seconds) — end-to-end numbers plus the per-layer ledger.

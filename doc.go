@@ -146,8 +146,8 @@
 // per-frame read deadlines, frame corruption and sender-address
 // validation, bounded peer tables, and per-peer counters (sends, retries,
 // failures, frames and bytes in/out) surfaced through Node.Transport().
-// Publish and PublishGeneration report per-peer partial failure instead
-// of a single error.
+// PublishGeneration reports per-peer partial failure instead of a single
+// error.
 //
 // cmd/p2pserve ties it together ("-mesh", "-mesh-join"): N processes form
 // a mesh, POST /v1/publish trains and floods a generation cluster-wide,
@@ -172,11 +172,11 @@
 // trust ledger: a rejected origin's score halves and it is quarantined
 // for a seed-jittered window (runner.DeriveSeed per origin), after which
 // the next generation it gossips is re-probed; accepted generations
-// rebuild score. Only trust-admitted generations install, relay, or reach
-// the serving swap — and trust scores multiply into the Node.Suggest
-// ensemble vote, with full trust exactly bit-invisible so the
-// byte-determinism pins hold. Stale (sequence, origin) echoes are normal
-// gossip traffic, deduplicated without charging trust.
+// rebuild score. Admission runs on the quarantine; the score is a
+// reputation reported in /v1/stats. Only trust-admitted generations
+// install, relay, or reach the serving swap, and generation gossip is the
+// only traffic that carries a model set. Stale (sequence, origin) echoes
+// are normal gossip traffic, deduplicated without charging trust.
 //
 // realnet.Adversary is the attack side: a deterministic scripted
 // Byzantine peer (NaN bombs, weight-scaled poison, label-flipped
@@ -200,17 +200,16 @@
 //     everything handed to callers is copied out.
 //   - One calibrated bank, fused multi-tag scoring: the baselines, PACE
 //     and the realnet mesh train (TrainBank: one-vs-all SVMs, a per-model
-//     post hook, cross-validated Platt), score (Bank.Probs/Score) and
-//     pool ensembles (Pool: the accuracy-weighted log-odds vote, scaled
-//     by PACE's proximity or realnet's trust) through protocol.Bank. A
-//     Bank packs its models into one svm.FusedLinear inverted score
-//     matrix (feature id -> per-tag weights; CSR cells for sparse pruned
-//     ensembles and narrow banks, 8-wide blocked rows for shared-pool
-//     banks), Platt and accuracy in the matrix's tag order, so scoring T
-//     tags is one ascending pass over the document's non-zero entries
-//     instead of T dot products. The matrix is immutable derived data,
-//     rebuilt wherever the bank changes (retraining, Refine, serving
-//     Swap/Refresh).
+//     post hook, cross-validated Platt), score (Bank.Probs/Score) and pool
+//     ensembles (Pool: the accuracy-weighted log-odds vote, scaled by
+//     PACE's proximity) through protocol.Bank. A Bank packs its models
+//     into one svm.FusedLinear inverted score matrix (feature id ->
+//     per-tag weights; CSR cells for sparse pruned ensembles and narrow
+//     banks, 8-wide blocked rows for shared-pool banks), Platt and
+//     accuracy in the matrix's tag order, so scoring T tags is one
+//     ascending pass over the document's non-zero entries instead of T dot
+//     products. The matrix is immutable derived data, rebuilt wherever the
+//     bank changes (retraining, Refine, serving Swap/Refresh).
 //   - Kernel bank: a CEMPaR super-peer packs its per-tag regional
 //     KernelModels into one svm.KernelBank at the end of every cascade.
 //     The tags' models share support-vector pointers, so the bank interns

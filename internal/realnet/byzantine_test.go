@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // byzantineVictim starts a node with the full admission pipeline armed: a
@@ -317,63 +315,5 @@ func TestAdversaryDeterministic(t *testing.T) {
 	a3, _ := build(43)
 	if a3.Digest() == a1.Digest() {
 		t.Error("different seeds produced identical attack digests")
-	}
-}
-
-// TestWeightedEnsembleIdentity pins the bit-invisibility contract trust
-// weighting relies on, where Node.Suggest's trust-weighted vote meets
-// Ensemble's unweighted one: origins at full trust answer byte-identically
-// to the unweighted vote, and a quarantined origin's set leaves the vote
-// exactly. (protocol's TestPoolMatchesReferenceVote pins the vote itself.)
-func TestWeightedEnsembleIdentity(t *testing.T) {
-	set0, err := TrainModelSet(trainingTexts(0), 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set1, err := TrainModelSet(trainingTexts(1), 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	texts := []string{
-		"guitar melody chord song",
-		"flight hotel passport beach island",
-		"recipe oven butter garlic sauce",
-	}
-	node := &Node{pre: newHashedPreprocessor(), trust: newTrustLedger(1, time.Second, 8),
-		own: set0, remote: map[string]*ModelSet{"10.0.0.2:7000": set1}}
-	both, err := NewEnsemble(0, 0, set0, set1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solo, err := NewEnsemble(0, 0, set0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	suggest := func(text string) []metrics.ScoredTag {
-		t.Helper()
-		cloud, err := node.Suggest(text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cloud
-	}
-	var full [][]metrics.ScoredTag
-	for _, text := range texts {
-		full = append(full, suggest(text))
-		if plain := both.Suggest(text); !reflect.DeepEqual(plain, full[len(full)-1]) {
-			t.Errorf("full-trust weights perturbed %q: %v vs %v", text, full[len(full)-1], plain)
-		}
-	}
-	// One rejection halves the origin's trust and quarantines it: its set
-	// leaves the vote exactly.
-	node.trust.reject("10.0.0.2:7000", time.Now())
-	for i, text := range texts {
-		silenced := suggest(text)
-		if alone := solo.Suggest(text); !reflect.DeepEqual(alone, silenced) {
-			t.Errorf("quarantine did not silence the set for %q: %v vs %v", text, silenced, alone)
-		}
-		if reflect.DeepEqual(silenced, full[i]) {
-			t.Errorf("the silenced set never moved the vote for %q", text)
-		}
 	}
 }

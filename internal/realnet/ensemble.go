@@ -10,39 +10,34 @@ import (
 	"repro/internal/vector"
 )
 
-// Ensemble scores documents against one or more model sets with the same
-// accuracy-weighted log-odds vote Node.Suggest uses, packaged as a batch
-// classification engine for internal/serving: AutoTagBatch answers one
-// tag list per input text in input order. This is how a gossiped model
-// generation becomes a serving shard — the cmd/p2pserve cluster installs
-// one Ensemble per shard, all over the same immutable sets, through the
-// serving Swap path.
+// Ensemble scores documents against one model set with protocol.Pool's
+// accuracy-weighted log-odds vote, packaged as a batch classification
+// engine for internal/serving: AutoTagBatch answers one tag list per input
+// text in input order. This is how a gossiped model generation becomes a
+// serving shard — the cmd/p2pserve cluster installs one Ensemble per
+// shard, all over the generation's immutable set, through the serving
+// Swap path.
 //
 // An Ensemble is NOT safe for concurrent use (it reuses per-instance
 // scratch); this matches the serving Engine contract, where each shard is
 // driven by exactly one goroutine. Build one Ensemble per shard; the
-// underlying sets may be shared, they are read-only after construction.
+// underlying set may be shared, it is read-only after construction.
 type Ensemble struct {
 	pre       *textproc.Preprocessor
-	sets      []*ModelSet
+	set       *ModelSet
 	threshold float64
 	maxTags   int
 	vote      protocol.Pool       // ensemble vote, reused across documents
 	sel       []metrics.ScoredTag // SelectTagsInto sort scratch, reused across documents
 }
 
-// NewEnsemble builds an engine over sets, assigning every tag scoring at
-// or above threshold (falling back to the single best; 0 accepts every
-// tag) and capping answers at maxTags (0 = unlimited). The sets must not
-// be mutated afterwards. Every set votes at full trust.
-func NewEnsemble(threshold float64, maxTags int, sets ...*ModelSet) (*Ensemble, error) {
-	if len(sets) == 0 {
-		return nil, errors.New("realnet: an ensemble needs at least one model set")
-	}
-	for _, ms := range sets {
-		if ms == nil || len(ms.Tags()) == 0 {
-			return nil, errors.New("realnet: ensemble over an empty model set")
-		}
+// NewEnsemble builds an engine over set, assigning every tag scoring at or
+// above threshold (falling back to the single best; 0 accepts every tag)
+// and capping answers at maxTags (0 = unlimited). The set must not be
+// mutated afterwards.
+func NewEnsemble(threshold float64, maxTags int, set *ModelSet) (*Ensemble, error) {
+	if set == nil || len(set.Tags()) == 0 {
+		return nil, errors.New("realnet: ensemble over an empty model set")
 	}
 	if threshold < 0 || threshold > 1 {
 		return nil, errors.New("realnet: ensemble threshold outside [0,1]")
@@ -52,17 +47,15 @@ func NewEnsemble(threshold float64, maxTags int, sets ...*ModelSet) (*Ensemble, 
 	}
 	return &Ensemble{
 		pre:       newHashedPreprocessor(),
-		sets:      sets,
+		set:       set,
 		threshold: threshold,
 		maxTags:   maxTags,
 	}, nil
 }
 
-// scores pools every set's vote on one document, each at full trust.
+// scores is the set's vote on one document.
 func (e *Ensemble) scores(entries []vector.Entry) []metrics.ScoredTag {
-	for _, ms := range e.sets {
-		e.vote.Add(ms, entries, 1)
-	}
+	e.vote.Add(e.set, entries, 1)
 	return e.vote.Scores()
 }
 
@@ -80,8 +73,8 @@ func (e *Ensemble) Suggest(text string) []metrics.ScoredTag {
 }
 
 // AutoTagBatch implements the serving engine contract: one non-nil tag
-// list per input text, in input order. Every row is answerable (the sets
-// are fixed at construction), so the error is always nil. Documents
+// list per input text, in input order. Every row is answerable (the set
+// is fixed at construction), so the error is always nil. Documents
 // stream one at a time through the Ensemble's reused scratch — the only
 // per-row state that survives an iteration is its answer.
 func (e *Ensemble) AutoTagBatch(texts []string) ([][]string, error) {

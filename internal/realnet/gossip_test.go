@@ -4,10 +4,13 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/protocol"
 )
 
 // fastMesh are the transport knobs cluster tests run with: quick retries,
@@ -274,23 +277,11 @@ func TestGenerationEncodingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEnsembleMatchesNodeSuggest pins the composition contract: an
-// Ensemble over a set answers exactly like a Node holding the same set —
-// the serving cluster's answers are the peer protocol's answers.
-func TestEnsembleMatchesNodeSuggest(t *testing.T) {
-	nd, err := Start(Config{Seed: 1, Dial: failDial, MaxAttempts: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nd.Close()
-	for _, doc := range trainingTexts(0) {
-		if err := nd.AddDocument(doc.Text, doc.Tags...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := nd.Publish(); err != nil {
-		t.Fatal(err)
-	}
+// TestEnsembleMatchesReferenceVote pins what a serving shard answers: an
+// Ensemble over a set returns exactly the suggestion cloud of the
+// reference pipeline — a materialized vector in the shared hashed feature
+// space, one full-weight protocol.Pool vote, sorted by score.
+func TestEnsembleMatchesReferenceVote(t *testing.T) {
 	set, err := TrainModelSet(trainingTexts(0), 1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -304,14 +295,14 @@ func TestEnsembleMatchesNodeSuggest(t *testing.T) {
 		"flight hotel passport beach island",
 		"piano concert symphony album",
 	}
+	pre := newHashedPreprocessor()
 	for _, text := range texts {
-		want, err := nd.Suggest(text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := e.Suggest(text)
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("Suggest(%q): ensemble %v, node %v", text, got, want)
+		var vote protocol.Pool
+		vote.Add(set, pre.Vectorize(text).Entries(), 1)
+		want := vote.Scores()
+		slices.SortFunc(want, protocol.ByScore)
+		if got := e.Suggest(text); len(want) == 0 || !reflect.DeepEqual(want, got) {
+			t.Errorf("Suggest(%q): ensemble %v, reference %v", text, got, want)
 		}
 	}
 	// Concurrent construction over a shared set must be race-clean
@@ -347,9 +338,6 @@ func TestEnsembleValidation(t *testing.T) {
 	set, err := TrainModelSet(trainingTexts(0), 1, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := NewEnsemble(0.5, 4); err == nil {
-		t.Error("ensemble without sets accepted")
 	}
 	if _, err := NewEnsemble(0.5, 4, nil); err == nil {
 		t.Error("ensemble over nil set accepted")

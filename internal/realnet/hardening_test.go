@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // failDial fails every outbound dial immediately. Hardening tests hand
@@ -29,6 +31,18 @@ func rawDial(t *testing.T, nd *Node) net.Conn {
 	}
 	t.Cleanup(func() { conn.Close() })
 	return conn
+}
+
+// writeGen writes one generation frame to conn.
+func writeGen(t *testing.T, conn net.Conn, seq uint64, origin string, set *ModelSet) {
+	t.Helper()
+	payload, err := encodeGeneration(Generation{Seq: seq, Origin: origin, Set: set})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(conn, frameGen, payload); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestDeadlineRefreshedPerFrame is the regression test for the stale-
@@ -81,7 +95,7 @@ func TestCorruptFrames(t *testing.T) {
 	// any allocation.
 	over := rawDial(t, nd)
 	var hdr [5]byte
-	hdr[0] = frameModels
+	hdr[0] = frameGen
 	binary.LittleEndian.PutUint32(hdr[1:], maxFrame+1)
 	if _, err := over.Write(hdr[:]); err != nil {
 		t.Fatal(err)
@@ -110,7 +124,7 @@ func TestCorruptFrames(t *testing.T) {
 	if err := writeFrame(conn, 99, []byte("whatever")); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(conn, frameModels, []byte{0xde, 0xad}); err != nil {
+	if err := writeFrame(conn, frameGen, []byte{0xde, 0xad}); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeFrame(conn, frameHello, encodeHello([]string{"10.8.8.8:7002"})); err != nil {
@@ -127,14 +141,16 @@ func TestCorruptFrames(t *testing.T) {
 	if got := nd.Transport().CorruptFrames; got < 4 {
 		t.Errorf("CorruptFrames = %d, want >= 4", got)
 	}
-	if nd.ModelsKnown() != 0 {
-		t.Errorf("garbage model frame entered the table")
+	if cur, ok := nd.CurrentGeneration(); ok {
+		t.Errorf("garbage generation frame installed (%d, %s)", cur.Seq, cur.Origin)
 	}
 }
 
-// TestSpoofedSenderRejected covers the sender-validation bugfix: model
-// frames whose self-reported sender is empty, unparseable, or the node's
-// own address must not enter the peer or model tables.
+// TestSpoofedSenderRejected covers the origin-validation bugfix:
+// generations whose self-reported origin is empty or unparseable are
+// counted corrupt, and neither those nor one claiming the node's own
+// address (dropped as its own broadcast reflected back) install, enter the
+// peer table or reach the trust ledger.
 func TestSpoofedSenderRejected(t *testing.T) {
 	nd, err := Start(Config{Seed: 1, Dial: failDial, MaxAttempts: 1})
 	if err != nil {
@@ -146,44 +162,37 @@ func TestSpoofedSenderRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn := rawDial(t, nd)
-	spoofed := []string{"", "not-an-address", ":7777", "1.2.3.4:", nd.Addr()}
-	for _, sender := range spoofed {
-		payload, err := encodeModelSet(sender, set)
-		if err != nil {
-			t.Fatal(err)
+	invalid := []string{"", "not-an-address", ":7777", "1.2.3.4:"}
+	spoofed := append(invalid, nd.Addr())
+	for _, origin := range spoofed {
+		writeGen(t, conn, 5, origin, set)
+	}
+	// A valid origin on the same connection still installs, proving the
+	// refusals above were per-frame, not connection-fatal.
+	const valid = "10.7.7.7:7003"
+	writeGen(t, conn, 1, valid, set)
+	waitFor(t, "valid origin installed", func() bool {
+		cur, ok := nd.CurrentGeneration()
+		return ok && cur.Seq == 1 && cur.Origin == valid
+	})
+	if got := nd.Transport().CorruptFrames; got != int64(len(invalid)) {
+		t.Errorf("CorruptFrames = %d, want %d invalid origins counted", got, len(invalid))
+	}
+	for _, bad := range spoofed {
+		if slices.Contains(nd.Peers(), bad) {
+			t.Errorf("spoofed origin %q entered the peer table", bad)
 		}
-		if err := writeFrame(conn, frameModels, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A valid sender on the same connection still lands, proving the
-	// rejects above were per-frame, not connection-fatal.
-	payload, err := encodeModelSet("10.7.7.7:7003", set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrame(conn, frameModels, payload); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "valid sender accepted", func() bool { return nd.ModelsKnown() == 1 })
-	if got := nd.Transport().CorruptFrames; got < int64(len(spoofed)) {
-		t.Errorf("CorruptFrames = %d, want >= %d spoofed frames counted", got, len(spoofed))
-	}
-	for _, p := range nd.Peers() {
-		for _, bad := range spoofed {
-			if p == bad {
-				t.Errorf("spoofed sender %q entered the peer table", p)
-			}
+		if _, seen := nd.Trust().Origins[bad]; seen {
+			t.Errorf("spoofed origin %q reached the trust ledger", bad)
 		}
 	}
 }
 
-// TestSizeBudgetBeforeDecode pins the first admission stage for both
-// set-carrying frame types: a payload over MaxGenBytes is refused before
-// the decoder runs — so even a perfectly honest oversize set is counted
-// corrupt, charges no origin, and installs nothing (regression: per-peer
-// model frames skipped the budget and were decoded up to maxFrame) — while
-// in-budget frames on the same connection are still admitted afterwards.
+// TestSizeBudgetBeforeDecode pins the first admission stage: a
+// generation over MaxGenBytes is refused before the decoder runs — so even
+// a perfectly honest oversize set is counted corrupt, charges no origin,
+// and installs nothing — while an in-budget generation on the same
+// connection is still admitted afterwards.
 func TestSizeBudgetBeforeDecode(t *testing.T) {
 	small, err := TrainModelSet(trainingTexts(0), 1, 1)
 	if err != nil {
@@ -193,27 +202,18 @@ func TestSizeBudgetBeforeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const bigGenOrigin, bigSender = "10.6.0.1:7000", "10.6.0.2:7000"
-	const okSender, okGenOrigin = "10.6.0.3:7000", "10.6.0.4:7000"
-	bigGen, err := encodeGeneration(Generation{Seq: 9, Origin: bigGenOrigin, Set: big})
+	const bigOrigin, okOrigin = "10.6.0.1:7000", "10.6.0.4:7000"
+	bigGen, err := encodeGeneration(Generation{Seq: 9, Origin: bigOrigin, Set: big})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bigModels, err := encodeModelSet(bigSender, big)
+	okGen, err := encodeGeneration(Generation{Seq: 1, Origin: okOrigin, Set: small})
 	if err != nil {
 		t.Fatal(err)
 	}
-	okModels, err := encodeModelSet(okSender, small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	okGen, err := encodeGeneration(Generation{Seq: 1, Origin: okGenOrigin, Set: small})
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := max(len(okModels), len(okGen))
-	if len(bigGen) <= budget || len(bigModels) <= budget {
-		t.Fatalf("fixture: oversize frames (%d, %d bytes) fit the %d-byte budget", len(bigGen), len(bigModels), budget)
+	budget := len(okGen)
+	if len(bigGen) <= budget {
+		t.Fatalf("fixture: oversize frame (%d bytes) fits the %d-byte budget", len(bigGen), budget)
 	}
 	nd, err := Start(Config{Seed: 1, Dial: failDial, MaxAttempts: 1, MaxGenBytes: budget})
 	if err != nil {
@@ -222,55 +222,96 @@ func TestSizeBudgetBeforeDecode(t *testing.T) {
 	defer nd.Close()
 
 	// A connection processes its frames in order, so once the trailing
-	// hello's peer shows up both oversize frames have been dealt with.
+	// hello's peer shows up the oversize frame has been dealt with.
 	conn := rawDial(t, nd)
-	for _, f := range []struct {
-		typ     byte
-		payload []byte
-	}{
-		{frameGen, bigGen},
-		{frameModels, bigModels},
-		{frameHello, encodeHello([]string{"10.6.0.9:7000"})},
-	} {
-		if err := writeFrame(conn, f.typ, f.payload); err != nil {
-			t.Fatal(err)
-		}
+	if err := writeFrame(conn, frameGen, bigGen); err != nil {
+		t.Fatal(err)
 	}
-	waitFor(t, "hello after the oversize frames processed", func() bool {
+	if err := writeFrame(conn, frameHello, encodeHello([]string{"10.6.0.9:7000"})); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "hello after the oversize frame processed", func() bool {
 		return slices.Contains(nd.Peers(), "10.6.0.9:7000")
 	})
-	if got := nd.Transport().CorruptFrames; got != 2 {
-		t.Errorf("CorruptFrames = %d, want both oversize frames counted", got)
+	if got := nd.Transport().CorruptFrames; got != 1 {
+		t.Errorf("CorruptFrames = %d, want the oversize frame counted", got)
 	}
 	if cur, ok := nd.CurrentGeneration(); ok {
 		t.Errorf("oversize generation (%d, %s) installed", cur.Seq, cur.Origin)
 	}
-	if got := nd.ModelsKnown(); got != 0 {
-		t.Errorf("ModelsKnown = %d after an oversize model frame, want 0", got)
-	}
-	for _, origin := range []string{bigGenOrigin, bigSender} {
-		if o, seen := nd.Trust().Origins[origin]; seen {
-			t.Errorf("oversize frame reached the trust ledger for %s: %+v", origin, o)
-		}
+	if o, seen := nd.Trust().Origins[bigOrigin]; seen {
+		t.Errorf("oversize frame reached the trust ledger: %+v", o)
 	}
 
-	if err := writeFrame(conn, frameModels, okModels); err != nil {
-		t.Fatal(err)
-	}
 	if err := writeFrame(conn, frameGen, okGen); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "in-budget frames admitted", func() bool {
+	waitFor(t, "in-budget generation admitted", func() bool {
 		cur, ok := nd.CurrentGeneration()
-		return nd.ModelsKnown() == 1 && ok && cur.Seq == 1 && cur.Origin == okGenOrigin
+		return ok && cur.Seq == 1 && cur.Origin == okOrigin
 	})
-	if got := nd.Transport().CorruptFrames; got != 2 {
-		t.Errorf("CorruptFrames = %d after in-budget frames, want still 2", got)
+	if got := nd.Transport().CorruptFrames; got != 1 {
+		t.Errorf("CorruptFrames = %d after an in-budget frame, want still 1", got)
 	}
 }
 
-// TestPeerTableCapped floods a node with invented peer addresses; the
-// membership and model tables must stop growing at MaxPeers.
+// TestRetiredModelFrameDrained pins the retirement of frame type 2, the
+// per-peer model broadcast: a well-formed former model frame (sender
+// address plus a model set) is drained unbuffered as an unknown type and
+// counted corrupt — nothing installs and its sender never reaches the
+// trust ledger — while a generation frame behind it on the same connection
+// still installs, so the reader kept frame sync.
+func TestRetiredModelFrameDrained(t *testing.T) {
+	const retiredType = 2
+	set, err := TrainModelSet(trainingTexts(0), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sender, origin = "10.5.0.1:7000", "10.5.0.2:7000"
+	payload, err := wire.AppendString(nil, sender)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if payload, err = wire.AppendModelSet(payload, toWire(set)); err != nil {
+		t.Fatal(err)
+	}
+	nd, err := Start(Config{Seed: 1, Dial: failDial, MaxAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	if got := nd.frameBudget(retiredType); got != 0 {
+		t.Fatalf("frameBudget(%d) = %d, want 0", retiredType, got)
+	}
+
+	conn := rawDial(t, nd)
+	if err := writeFrame(conn, retiredType, payload); err != nil {
+		t.Fatal(err)
+	}
+	writeGen(t, conn, 1, origin, set)
+	waitFor(t, "generation behind the retired frame installed", func() bool {
+		cur, ok := nd.CurrentGeneration()
+		return ok && cur.Seq == 1 && cur.Origin == origin
+	})
+	st := nd.Transport()
+	if st.CorruptFrames != 1 {
+		t.Errorf("CorruptFrames = %d, want the retired frame counted", st.CorruptFrames)
+	}
+	// Only buffered frames count in: the generation, not the drained one.
+	if st.FramesIn != 1 {
+		t.Errorf("FramesIn = %d, want 1: the retired frame was buffered", st.FramesIn)
+	}
+	if _, seen := nd.Trust().Origins[sender]; seen {
+		t.Errorf("retired frame's sender %s reached the trust ledger", sender)
+	}
+	if slices.Contains(nd.Peers(), sender) {
+		t.Errorf("retired frame's sender %s entered the peer table", sender)
+	}
+}
+
+// TestPeerTableCapped floods a node with invented peer addresses, in
+// hellos and as the origins of ever-newer generations; the membership
+// table and the trust ledger must stop growing at MaxPeers.
 func TestPeerTableCapped(t *testing.T) {
 	nd, err := Start(Config{Seed: 1, MaxPeers: 4, Dial: failDial, MaxAttempts: 1})
 	if err != nil {
@@ -291,13 +332,7 @@ func TestPeerTableCapped(t *testing.T) {
 		if err := writeFrame(conn, frameHello, hello); err != nil {
 			t.Fatal(err)
 		}
-		mp, err := encodeModelSet(fmt.Sprintf("10.1.2.3:%d", 6000+i), set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := writeFrame(conn, frameModels, mp); err != nil {
-			t.Fatal(err)
-		}
+		writeGen(t, conn, uint64(i+1), fmt.Sprintf("10.1.2.3:%d", 6000+i), set)
 	}
 	waitFor(t, "flood processed", func() bool {
 		return nd.Transport().FramesIn >= 2*flood
@@ -305,8 +340,8 @@ func TestPeerTableCapped(t *testing.T) {
 	if got := len(nd.Peers()); got > 4 {
 		t.Errorf("peer table grew to %d despite MaxPeers=4", got)
 	}
-	if got := nd.ModelsKnown(); got > 4 {
-		t.Errorf("model table grew to %d despite MaxPeers=4", got)
+	if got := len(nd.Trust().Origins); got > 4 {
+		t.Errorf("trust ledger grew to %d origins despite MaxPeers=4", got)
 	}
 }
 
@@ -425,7 +460,7 @@ func TestQuarantineAndReprobe(t *testing.T) {
 // TestHelloIntroductionsOffReaderPath is the regression test for the
 // reader-goroutine dial bug: a hello introducing an unreachable peer used
 // to stall the connection's frame processing for a full dial timeout.
-// With introductions on the background pool, a models frame sent right
+// With introductions on the background pool, a generation frame sent right
 // after such a hello must be processed while the dial is still hanging.
 func TestHelloIntroductionsOffReaderPath(t *testing.T) {
 	dialStarted := make(chan struct{}, 8)
@@ -458,23 +493,18 @@ func TestHelloIntroductionsOffReaderPath(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("introduction was never dialed")
 	}
-	// ...while the reader keeps consuming: the models frame lands even
+	// ...while the reader keeps consuming: the generation installs even
 	// though the dial is still hanging.
-	payload, err := encodeModelSet("10.4.4.4:7010", set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrame(conn, frameModels, payload); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "models processed while introduction dial hangs", func() bool {
-		return nd.ModelsKnown() == 1
+	writeGen(t, conn, 1, "10.4.4.4:7010", set)
+	waitFor(t, "generation processed while introduction dial hangs", func() bool {
+		_, ok := nd.CurrentGeneration()
+		return ok
 	})
 }
 
 // TestPublishReportsPartialFailure covers the swallowed-send-error bugfix:
-// a broadcast that cannot reach every peer must say so, per peer, instead
-// of silently dropping the frames.
+// a PublishGeneration that cannot reach every peer must say so, per peer,
+// in its summary instead of silently dropping the frames.
 func TestPublishReportsPartialFailure(t *testing.T) {
 	live, err := Start(Config{Seed: 2})
 	if err != nil {
@@ -500,12 +530,11 @@ func TestPublishReportsPartialFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nd.Close()
-	for i, doc := range trainingTexts(0) {
-		if err := nd.AddDocument(doc.Text, doc.Tags...); err != nil {
-			t.Fatalf("doc %d: %v", i, err)
-		}
+	set, err := TrainModelSet(trainingTexts(0), 1, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sum, err := nd.Publish()
+	_, sum, err := nd.PublishGeneration(set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +551,10 @@ func TestPublishReportsPartialFailure(t *testing.T) {
 	if st.Failures == 0 || st.Retries == 0 {
 		t.Errorf("dead peer transport counters %+v recorded no failures/retries", st)
 	}
-	waitFor(t, "live peer received the set", func() bool { return live.ModelsKnown() == 1 })
+	waitFor(t, "live peer installed the generation", func() bool {
+		_, ok := live.CurrentGeneration()
+		return ok
+	})
 }
 
 // trainingTexts returns a small clearly separable labeled corpus; topic

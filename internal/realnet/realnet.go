@@ -1,14 +1,17 @@
 // Package realnet is the real-network deployment path of P2PDocTagger,
 // backing the paper's claim that "code written for P2PDMT is reusable in
-// real applications": actual TCP peers exchange the same calibrated
-// one-vs-all tag models the simulator's PACE protocol broadcasts, using
-// the binary encodings of internal/wire.
+// real applications": actual TCP peers gossip the same calibrated
+// one-vs-all tag models (protocol.Bank) the simulator's protocols score
+// with, using the binary encodings of internal/wire.
 //
 // A Node listens on TCP, discovers peers transitively through HELLO
-// frames, trains linear SVM tag models from its locally tagged documents,
-// broadcasts them with Publish, and answers tag queries locally from the
-// ensemble of every model set it has received — so queries keep working
-// when every other peer is gone, exactly like the simulated protocol.
+// frames, and gossips whole model generations (see Generation and
+// PublishGeneration): an application such as the cmd/p2pserve cluster
+// trains a set with TrainModelSet, publishes it as a generation on one
+// node, and every reachable node — including peers that were dead or
+// partitioned and come back — converges on it through the admission
+// pipeline, installing it through its serving front-end as an Ensemble.
+// Generation gossip is the only traffic that carries a model set.
 //
 // The node is built to survive real conditions, not just loopback demos:
 //
@@ -20,18 +23,12 @@
 //     and out) are exposed through Transport.
 //   - Read deadlines are refreshed per frame, so a long-lived connection
 //     stays alive as long as frames keep arriving.
-//   - Self-reported peer addresses are validated and the peer/model
-//     tables are capped, so a malicious frame cannot pollute membership
+//   - Self-reported addresses are validated and the peer table and trust
+//     ledger are capped, so a malicious frame cannot pollute membership
 //     or grow state without bound.
 //   - Dials never run on a connection-reader goroutine: introductions and
 //     gossip relays go through a bounded background task pool, so one
 //     unreachable peer cannot stall frame processing.
-//
-// Beyond peer-trained model sets, nodes gossip whole model generations
-// (see Generation and PublishGeneration): an application such as the
-// cmd/p2pserve cluster publishes a generation on one node and every
-// reachable node — including peers that were dead or partitioned and come
-// back — converges on it, installing it through its serving front-end.
 package realnet
 
 import (
@@ -46,7 +43,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/protocol"
 	"repro/internal/svm"
 	"repro/internal/textproc"
@@ -55,11 +51,12 @@ import (
 )
 
 // Frame types of the node protocol. Every frame is
-// [type byte][length uint32][payload].
+// [type byte][length uint32][payload]. Type 2 is retired: like any
+// unknown type it has no budget, so it is drained unbuffered and counted
+// corrupt.
 const (
-	frameHello  = 1 // payload: sender listen addr + known peer addrs
-	frameModels = 2 // payload: sender listen addr + a model set
-	frameGen    = 3 // payload: a gossiped model generation (seq, origin, set)
+	frameHello = 1 // payload: sender listen addr + known peer addrs
+	frameGen   = 3 // payload: a gossiped model generation (seq, origin, set)
 )
 
 // maxFrame bounds a frame payload: a header claiming more closes the
@@ -84,9 +81,8 @@ type Config struct {
 	ListenAddr string
 	// Seeds are addresses of existing peers to join through.
 	Seeds []string
-	// C is the linear SVM penalty; default 1.
-	C float64
-	// Seed drives training and the deterministic backoff jitter streams.
+	// Seed drives the deterministic backoff and trust-quarantine jitter
+	// streams.
 	Seed int64
 
 	// DialTimeout bounds one dial attempt; default 5s.
@@ -118,13 +114,13 @@ type Config struct {
 	// interval, which is also what re-probes quarantined peers once their
 	// quarantine expires. Default 2s.
 	GossipInterval time.Duration
-	// MaxPeers caps the membership and model tables against floods of
-	// invented self-reported addresses; default 256.
+	// MaxPeers caps the membership table and the trust ledger against
+	// floods of invented self-reported addresses; default 256.
 	MaxPeers int
 
 	// MaxSetTags and MaxModelDim bound the structure of an inbound model
 	// set (tag count and per-model dense dimension); MaxGenBytes bounds
-	// the encoded size of an inbound generation or per-peer model frame.
+	// the encoded size of an inbound generation frame.
 	// Together with the finite-weight scan they are the structural half
 	// of the Byzantine admission pipeline. Defaults 4096 tags, 1<<22
 	// dims, 32 MiB.
@@ -158,9 +154,6 @@ type Config struct {
 func (cfg *Config) defaults() {
 	if cfg.ListenAddr == "" {
 		cfg.ListenAddr = "127.0.0.1:0"
-	}
-	if cfg.C == 0 {
-		cfg.C = 1
 	}
 	if cfg.DialTimeout == 0 {
 		cfg.DialTimeout = 5 * time.Second
@@ -293,16 +286,11 @@ func TrainModelSet(docs []TaggedText, c float64, seed int64) (*ModelSet, error) 
 		}
 		pdocs = append(pdocs, protocol.Doc{X: pre.Vectorize(d.Text), Tags: d.Tags})
 	}
-	return trainSet(pdocs, c, seed)
-}
-
-// trainSet trains the bank a node publishes, each model pruned to compress
-// the wire payload.
-func trainSet(docs []protocol.Doc, c float64, seed int64) (*ModelSet, error) {
-	if len(docs) == 0 {
+	if len(pdocs) == 0 {
 		return nil, errors.New("realnet: no tagged documents to learn from")
 	}
-	ms := protocol.TrainBank(docs, c, seed, 1, func(m *svm.LinearModel) *svm.LinearModel {
+	// Each model is pruned to compress the wire payload.
+	ms := protocol.TrainBank(pdocs, c, seed, 1, func(m *svm.LinearModel) *svm.LinearModel {
 		return m.Pruned(0.02)
 	})
 	if len(ms.Models) == 0 {
@@ -315,19 +303,15 @@ func trainSet(docs []protocol.Doc, c float64, seed int64) (*ModelSet, error) {
 // concurrent use.
 type Node struct {
 	cfg   Config
-	pre   *textproc.Preprocessor
 	ln    net.Listener
 	tr    *transport
 	trust *trustLedger
 	probe []probeDoc // vectorized holdout scoring set, immutable after Start
 
 	mu         sync.Mutex
-	docs       []protocol.Doc
 	peers      map[string]bool // known peer listen addresses
-	remote     map[string]*ModelSet
-	own        *ModelSet
-	cur        *Generation // newest gossiped generation seen or published
-	curPayload []byte      // cur's encoded frame, for relays and rebroadcast
+	cur        *Generation     // newest gossiped generation seen or published
+	curPayload []byte          // cur's encoded frame, for relays and rebroadcast
 	conns      map[net.Conn]bool
 
 	tasks     chan func()
@@ -346,7 +330,7 @@ const (
 )
 
 // Start launches a node: it listens, joins through the seeds and begins
-// accepting model broadcasts.
+// accepting generation gossip.
 func Start(cfg Config) (*Node, error) {
 	cfg.defaults()
 	ln, err := net.Listen("tcp", cfg.ListenAddr)
@@ -354,17 +338,16 @@ func Start(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("realnet: listen: %w", err)
 	}
 	n := &Node{
-		cfg:    cfg,
-		pre:    newHashedPreprocessor(),
-		ln:     ln,
-		peers:  make(map[string]bool),
-		remote: make(map[string]*ModelSet),
-		conns:  make(map[net.Conn]bool),
-		tasks:  make(chan func(), taskQueue),
-		stop:   make(chan struct{}),
+		cfg:   cfg,
+		ln:    ln,
+		peers: make(map[string]bool),
+		conns: make(map[net.Conn]bool),
+		tasks: make(chan func(), taskQueue),
+		stop:  make(chan struct{}),
 	}
 	n.tr = newTransport(cfg, n.stop)
 	n.trust = newTrustLedger(cfg.Seed, cfg.TrustQuarantineFor, cfg.MaxPeers)
+	pre := newHashedPreprocessor()
 	for _, d := range cfg.ProbeDocs {
 		if len(d.Tags) == 0 {
 			continue
@@ -373,7 +356,7 @@ func Start(cfg Config) (*Node, error) {
 		for _, tag := range d.Tags {
 			has[tag] = true
 		}
-		n.probe = append(n.probe, probeDoc{x: n.pre.Vectorize(d.Text), has: has})
+		n.probe = append(n.probe, probeDoc{x: pre.Vectorize(d.Text), has: has})
 	}
 	n.wg.Add(1)
 	go n.acceptLoop()
@@ -433,26 +416,6 @@ func (n *Node) Peers() []string {
 	return out
 }
 
-// ModelsKnown reports how many peers' model sets this node holds
-// (excluding its own).
-func (n *Node) ModelsKnown() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.remote)
-}
-
-// AddDocument stores a manually tagged document for the next Publish.
-func (n *Node) AddDocument(text string, tags ...string) error {
-	if len(tags) == 0 {
-		return errors.New("realnet: a tagged document needs at least one tag")
-	}
-	doc := protocol.Doc{X: n.pre.Vectorize(text), Tags: append([]string(nil), tags...)}
-	n.mu.Lock()
-	n.docs = append(n.docs, doc)
-	n.mu.Unlock()
-	return nil
-}
-
 // PublishSummary reports a broadcast's outcome: how many peers were
 // reached, and the final error for each peer that was not (after the full
 // retry budget, or immediately for quarantined peers). A partial failure
@@ -464,28 +427,6 @@ type PublishSummary struct {
 
 // AllReached reports whether every known peer accepted the broadcast.
 func (s PublishSummary) AllReached() bool { return len(s.Failed) == 0 }
-
-// Publish trains the local per-tag models and broadcasts them to every
-// known peer, retrying per the transport budget. The summary reports the
-// outcome per peer; err is non-nil only when nothing could be trained.
-func (n *Node) Publish() (PublishSummary, error) {
-	n.mu.Lock()
-	docs := append([]protocol.Doc(nil), n.docs...)
-	n.mu.Unlock()
-	ms, err := trainSet(docs, n.cfg.C, n.cfg.Seed)
-	if err != nil {
-		return PublishSummary{}, err
-	}
-	n.mu.Lock()
-	n.own = ms
-	n.mu.Unlock()
-
-	payload, err := encodeModelSet(n.Addr(), ms)
-	if err != nil {
-		return PublishSummary{}, err
-	}
-	return n.broadcast(frameModels, payload), nil
-}
 
 // broadcast sends one frame to every known peer through the retrying
 // transport and reports the per-peer outcome.
@@ -502,42 +443,6 @@ func (n *Node) broadcast(typ byte, payload []byte) PublishSummary {
 		}
 	}
 	return sum
-}
-
-// Suggest scores every known tag for text using the ensemble of all model
-// sets this node holds (its own plus every peer's), weighted by
-// cross-validated accuracy over chance, pooled in log-odds space — the
-// same vote as the simulated PACE protocol with k = all. Each remote
-// set's contribution is additionally scaled by its origin's trust score
-// (1.0 for origins that have never misbehaved, so in an all-honest mesh
-// the weighting is byte-invisible); sets from presently quarantined
-// origins are excluded from the vote entirely.
-func (n *Node) Suggest(text string) ([]metrics.ScoredTag, error) {
-	entries := n.pre.Vectorize(text).Entries()
-	n.mu.Lock()
-	own, remote := n.own, maps.Clone(n.remote)
-	n.mu.Unlock()
-	// Trust lookups happen outside n.mu: the ledger has its own lock and
-	// nothing here needs the two views to be atomic with each other.
-	now := time.Now()
-	var vote protocol.Pool
-	voters := 0
-	if own != nil {
-		vote.Add(own, entries, 1) // the node's own set is always fully trusted
-		voters++
-	}
-	for _, a := range slices.Sorted(maps.Keys(remote)) {
-		if !n.trust.quarantined(a, now) {
-			vote.Add(remote[a], entries, n.trust.weight(a))
-			voters++
-		}
-	}
-	if voters == 0 {
-		return nil, errors.New("realnet: no models known yet (publish or wait for peers)")
-	}
-	cloud := vote.Scores()
-	slices.SortFunc(cloud, protocol.ByScore)
-	return cloud, nil
 }
 
 // probeDoc is one vectorized holdout document for the admission probe.
@@ -573,15 +478,6 @@ func (n *Node) probeAccuracy(ms *ModelSet) float64 {
 		return 1
 	}
 	return float64(correct) / float64(total)
-}
-
-// AutoTag assigns tags above threshold (falling back to the single best).
-func (n *Node) AutoTag(text string, threshold float64, maxTags int) ([]string, error) {
-	scores, err := n.Suggest(text)
-	if err != nil {
-		return nil, err
-	}
-	return protocol.SelectTags(scores, threshold, maxTags), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -635,8 +531,6 @@ func (n *Node) handleConn(conn net.Conn) {
 		switch typ {
 		case frameHello:
 			n.onHello(payload)
-		case frameModels:
-			n.onModels(payload)
 		case frameGen:
 			n.onGeneration(payload)
 		default:
@@ -647,12 +541,13 @@ func (n *Node) handleConn(conn net.Conn) {
 
 // frameBudget is the payload size a frame of the given type may claim: the
 // size stage of the admission pipeline, applied to the header alone. A
-// type this node does not speak has no budget at all.
+// type this node does not speak — the retired type 2 included — has no
+// budget at all, so its payload is drained unbuffered and counted corrupt.
 func (n *Node) frameBudget(typ byte) int {
 	switch typ {
 	case frameHello:
 		return maxHelloBytes
-	case frameModels, frameGen:
+	case frameGen:
 		return n.cfg.MaxGenBytes
 	}
 	return 0
@@ -661,7 +556,7 @@ func (n *Node) frameBudget(typ byte) int {
 // validAddr reports whether a self-reported peer address is usable: a
 // parseable host:port with both parts non-empty, and not this node itself.
 // Spoofing cannot be ruled out without authentication, but an invalid or
-// empty sender must never enter the membership or model tables.
+// empty origin must never enter the membership table or the trust ledger.
 func (n *Node) validAddr(a string) bool {
 	if a == "" || a == n.ln.Addr().String() {
 		return false
@@ -711,43 +606,14 @@ func (n *Node) onHello(payload []byte) {
 	}
 }
 
-func (n *Node) onModels(payload []byte) {
-	sender, ms, err := decodeModelSet(payload)
-	if err != nil {
-		n.tr.noteCorrupt()
-		return
-	}
-	// The sender is self-reported: an empty or unparseable address must
-	// not pollute the peer and model tables (regression: it was trusted
-	// verbatim), and the tables are capped against invented-sender floods.
-	if !n.validAddr(sender) {
-		n.tr.noteCorrupt()
-		return
-	}
-	// Peer broadcasts pass the same admission as generations, so a
-	// poisoned set never enters the remote table the Suggest vote reads.
-	if !n.admit(sender, ms, time.Now()) {
-		return
-	}
-	n.mu.Lock()
-	if _, known := n.remote[sender]; !known && len(n.remote) >= n.cfg.MaxPeers {
-		n.mu.Unlock()
-		return
-	}
-	n.remote[sender] = ms
-	if !n.peers[sender] && len(n.peers) < n.cfg.MaxPeers {
-		n.peers[sender] = true
-	}
-	n.mu.Unlock()
-	n.tr.creditIn(sender, len(payload))
-}
-
-// admit is the trust half of the admission pipeline, shared by per-peer
-// model frames and gossiped generations; the caller has already applied
-// the size budget, decoded the frame and vetted the origin address. A
-// quarantined origin is refused outright; a structurally invalid set, or
-// one scoring under ProbeFloor on the holdout probe (when configured),
-// demotes and quarantines its origin; anything else is credited to it.
+// admit is the trust half of onGeneration's admission pipeline; the
+// caller has already applied the size budget, checked the digest, decoded
+// the frame, vetted the origin address and dropped stale (Seq, Origin)
+// echoes. A quarantined origin is refused outright; a structurally invalid
+// set, or one scoring under ProbeFloor on the holdout probe (when
+// configured), halves its origin's trust score and quarantines it;
+// anything else is credited to it. Every refusal is charged to the origin
+// in the transport counters.
 func (n *Node) admit(origin string, set *ModelSet, now time.Time) bool {
 	if !n.trust.admitted(origin, now) {
 		n.tr.noteReject(origin)
@@ -755,23 +621,12 @@ func (n *Node) admit(origin string, set *ModelSet, now time.Time) bool {
 	}
 	if validateModelSet(set, n.cfg.MaxSetTags, n.cfg.MaxModelDim) != nil ||
 		(len(n.probe) > 0 && n.probeAccuracy(set) < n.cfg.ProbeFloor) {
-		n.rejectOrigin(origin, now)
+		n.trust.reject(origin, now)
+		n.tr.noteReject(origin)
 		return false
 	}
 	n.trust.accept(origin, now)
 	return true
-}
-
-// rejectOrigin records one failed admission: the origin's trust halves
-// and it is quarantined, the rejection is charged to it in the transport
-// counters, and any model set it previously parked in the remote table is
-// evicted from the vote.
-func (n *Node) rejectOrigin(origin string, now time.Time) {
-	n.trust.reject(origin, now)
-	n.tr.noteReject(origin)
-	n.mu.Lock()
-	delete(n.remote, origin)
-	n.mu.Unlock()
 }
 
 func (n *Node) addPeer(addr string) {
@@ -783,23 +638,17 @@ func (n *Node) addPeer(addr string) {
 }
 
 func (n *Node) broadcastHello() PublishSummary {
-	var sum PublishSummary
-	for _, p := range n.Peers() {
-		if err := n.sendHello(p); err != nil {
-			if sum.Failed == nil {
-				sum.Failed = make(map[string]error)
-			}
-			sum.Failed[p] = err
-		} else {
-			sum.Reached++
-		}
-	}
-	return sum
+	return n.broadcast(frameHello, n.helloPayload())
 }
 
 func (n *Node) sendHello(to string) error {
-	payload := encodeHello(append([]string{n.Addr()}, n.Peers()...))
-	return n.tr.send(to, frameHello, payload)
+	return n.tr.send(to, frameHello, n.helloPayload())
+}
+
+// helloPayload introduces this node: its own address, then every peer it
+// knows.
+func (n *Node) helloPayload() []byte {
+	return encodeHello(append([]string{n.Addr()}, n.Peers()...))
 }
 
 // async runs f on the background task pool — work (dials, relays) that
@@ -898,22 +747,4 @@ func decodeHello(payload []byte) ([]string, error) {
 		return nil, fmt.Errorf("realnet: hello: %w", c.Err())
 	}
 	return out, nil
-}
-
-func encodeModelSet(sender string, ms *ModelSet) ([]byte, error) {
-	b, err := wire.AppendString(nil, sender)
-	if err != nil {
-		return nil, err
-	}
-	return wire.AppendModelSet(b, toWire(ms))
-}
-
-func decodeModelSet(payload []byte) (string, *ModelSet, error) {
-	c := wire.NewCursor(payload)
-	sender := c.Str()
-	set, err := wire.DecodeModelSet(c) // reports a sender that failed to read, too
-	if err != nil {
-		return "", nil, fmt.Errorf("realnet: model frame: %w", err)
-	}
-	return sender, modelSetFromWire(set), nil
 }

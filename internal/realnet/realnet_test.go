@@ -1,7 +1,6 @@
 package realnet
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -45,38 +44,6 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timeout waiting for %s", what)
 }
 
-func seedDocs(t *testing.T, nd *Node, topic int) {
-	t.Helper()
-	topics := [][2]string{
-		{"music", "guitar melody chord song album piano concert symphony"},
-		{"travel", "flight hotel passport itinerary beach island resort museum"},
-		{"cooking", "recipe oven butter flour sugar grill steak garlic sauce"},
-	}
-	main := topics[topic%len(topics)]
-	other := topics[(topic+1)%len(topics)]
-	// Each document carries most of its topic vocabulary (rotated) so the
-	// tiny training sets are clearly separable.
-	rotate := func(words []string, k int) string {
-		out := make([]string, len(words))
-		for i := range words {
-			out[i] = words[(i+k)%len(words)]
-		}
-		return strings.Join(out[:6], " ")
-	}
-	mw := strings.Fields(main[1])
-	ow := strings.Fields(other[1])
-	for i := 0; i < 6; i++ {
-		if err := nd.AddDocument(rotate(mw, i), main[0]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		if err := nd.AddDocument(rotate(ow, i), other[0]); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestMembershipGossip(t *testing.T) {
 	nodes := startCluster(t, 4)
 	// Every node should eventually know the other three, even though only
@@ -87,107 +54,6 @@ func TestMembershipGossip(t *testing.T) {
 			return len(nd.Peers()) >= 3
 		})
 		_ = i
-	}
-}
-
-func TestCollaborativeTaggingOverTCP(t *testing.T) {
-	nodes := startCluster(t, 3)
-	for i, nd := range nodes {
-		seedDocs(t, nd, i)
-	}
-	// Everyone publishes after membership has converged.
-	for _, nd := range nodes {
-		nd := nd
-		waitFor(t, "membership", func() bool { return len(nd.Peers()) >= 2 })
-	}
-	for _, nd := range nodes {
-		if _, err := nd.Publish(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, nd := range nodes {
-		nd := nd
-		waitFor(t, "model propagation", func() bool { return nd.ModelsKnown() >= 2 })
-	}
-	// Node 2 (cooking+music) asks about a travel note: only collaboration
-	// can answer, since travel is not its primary topic... node2 has
-	// travel? topics: node0 music+travel, node1 travel+cooking, node2
-	// cooking+music. Ask node 2 about travel.
-	scores, err := nodes[2].Suggest("booked the flight and the hotel for the island beach trip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scores) == 0 {
-		t.Fatal("no suggestions")
-	}
-	if scores[0].Tag != "travel" {
-		t.Errorf("top suggestion = %+v, want travel", scores[0])
-	}
-	tags, err := nodes[2].AutoTag("grill the steak with garlic butter sauce", 0.4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, tag := range tags {
-		if tag == "cooking" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("AutoTag = %v, want cooking", tags)
-	}
-}
-
-func TestSurvivesPeerShutdown(t *testing.T) {
-	nodes := startCluster(t, 3)
-	for i, nd := range nodes {
-		seedDocs(t, nd, i)
-	}
-	for _, nd := range nodes {
-		nd := nd
-		waitFor(t, "membership", func() bool { return len(nd.Peers()) >= 2 })
-	}
-	for _, nd := range nodes {
-		if _, err := nd.Publish(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, "models", func() bool { return nodes[0].ModelsKnown() >= 2 })
-	// Kill the other two nodes; node 0 keeps answering from local copies.
-	nodes[1].Close()
-	nodes[2].Close()
-	nodes[1], nodes[2] = nil, nil
-	scores, err := nodes[0].Suggest("a recipe with flour butter and sugar in the oven")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scores[0].Tag != "cooking" {
-		t.Errorf("after shutdowns, top = %+v, want cooking", scores[0])
-	}
-}
-
-func TestPublishWithoutDocs(t *testing.T) {
-	nd, err := Start(Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nd.Close()
-	if _, err := nd.Publish(); err == nil {
-		t.Error("publish with no documents should error")
-	}
-	if err := nd.AddDocument("text"); err == nil {
-		t.Error("document without tags accepted")
-	}
-}
-
-func TestSuggestWithoutModels(t *testing.T) {
-	nd, err := Start(Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nd.Close()
-	if _, err := nd.Suggest("anything"); err == nil {
-		t.Error("suggest with no models should error")
 	}
 }
 

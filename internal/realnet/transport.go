@@ -175,7 +175,7 @@ func (t *transport) send(to string, typ byte, payload []byte) error {
 }
 
 // dialAndWrite is one delivery attempt: dial-per-message keeps the sender
-// stateless and correct (model broadcasts are rare events); the retry
+// stateless and correct (generation publishes are rare events); the retry
 // layer above is what absorbs the flakiness this simplicity costs.
 func (t *transport) dialAndWrite(to string, typ byte, payload []byte) error {
 	conn, err := t.cfg.Dial(to, t.cfg.DialTimeout)

@@ -8,10 +8,12 @@ import (
 	"repro/internal/runner"
 )
 
-// OriginTrust is one origin's ledger entry as exposed through TrustStats:
-// its current vote weight, the admission outcomes that produced it, and
-// whether the origin is presently quarantined (its generations refused
-// before validation even runs).
+// OriginTrust is one origin's ledger entry as exposed through TrustStats
+// (and cmd/p2pserve's /v1/stats): its reputation Score, the admission
+// outcomes that produced it, and whether the origin is presently
+// quarantined. Admission runs on the quarantine alone — a quarantined
+// origin's generations are refused before validation even runs; the
+// score is reported, never used to weight a vote.
 type OriginTrust struct {
 	Score       float64 `json:"score"`
 	Accepted    int64   `json:"accepted"`
@@ -26,9 +28,7 @@ type TrustStats struct {
 }
 
 // trustLedger is the per-origin trust state behind the Byzantine admission
-// pipeline. Every origin starts at full trust (score 1.0 — honest peers in
-// an all-honest mesh are never penalized, which keeps trust weighting
-// byte-invisible there). A rejected publication halves the score and
+// pipeline. Every origin starts at full trust (score 1.0). A rejected publication halves the score and
 // quarantines the origin for the configured window plus jitter drawn from
 // the origin's runner.DeriveSeed stream (deterministic per (seed, origin),
 // so tests can pin the re-probe schedule); an accepted one restores a
@@ -118,25 +118,6 @@ func (l *trustLedger) accept(origin string, now time.Time) {
 	if o.score > 1 {
 		o.score = 1
 	}
-}
-
-// weight is the origin's multiplier into the ensemble vote; an origin the
-// ledger has never seen is fully trusted (1.0).
-func (l *trustLedger) weight(origin string) float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if o := l.origins[origin]; o != nil {
-		return o.score
-	}
-	return 1
-}
-
-// quarantined reports whether origin is inside an active quarantine window.
-func (l *trustLedger) quarantined(origin string, now time.Time) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	o := l.origins[origin]
-	return o != nil && !o.quarantinedUntil.IsZero() && now.Before(o.quarantinedUntil)
 }
 
 // snapshot builds a TrustStats copy.

@@ -16,9 +16,8 @@ func finite(x float64) bool {
 }
 
 // validateModelSet is the structural half of the Byzantine admission
-// pipeline: every inbound model set — gossiped generation or peer
-// broadcast — passes it before the set may touch the model tables or an
-// ensemble. It enforces the shape caps (tag count, tag name length, dense
+// pipeline: every inbound generation's set passes it before it may be
+// installed, relayed or built into an ensemble. It enforces the shape caps (tag count, tag name length, dense
 // dimension) and scans every number the vote will consume (weights, bias,
 // Platt calibration, accuracy) for NaN/Inf, so a poisoned set cannot turn
 // every answer into NaN. Tags are checked in sorted order so the reported
