@@ -1,8 +1,8 @@
 package doctagger_test
 
-// One benchmark per experiment of the evaluation suite (see DESIGN.md for
-// the experiment index and EXPERIMENTS.md for the committed results). The
-// paper is a demonstration paper without numeric result tables, so each
+// One benchmark per experiment of the evaluation suite (defined in
+// internal/experiments; testdata/golden_quick.txt there pins the
+// quick-scale tables). The paper is a demonstration paper without numeric result tables, so each
 // benchmark regenerates the table its demo scenario would have produced.
 // Benchmarks print their table on the first iteration and report the
 // headline metric via b.ReportMetric.

@@ -1,19 +1,17 @@
 // Command experiments regenerates every experiment table of the
-// reproduction (E1-E10 and F4; see DESIGN.md for the index) and prints them
-// to stdout. With -out it also writes the tables as a markdown fragment,
-// which is how the result sections of EXPERIMENTS.md were produced.
+// reproduction (E1-E10, F4 and the ablations A1-A4, defined in
+// internal/experiments) and prints them to stdout. With -out it also writes
+// the tables as a markdown fragment.
 //
 // Usage:
 //
-//	experiments [-quick] [-max-peers N] [-only E4] [-parallel N] [-shards K] [-seed S] [-out results.md]
+//	experiments [-quick] [-max-peers N] [-only E4] [-parallel N] [-seed S] [-out results.md]
 //
 // Sweeps fan their cells out over -parallel workers (default: all cores;
 // 1 reproduces the old serial behavior) and render byte-identical tables
-// at any worker count. -shards additionally parallelizes within each
-// simulated network (conservative PDES; worthwhile for few, very large
-// networks — tables stay byte-identical). -seed re-seeds the whole sweep,
-// deriving an independent seed per cell; 0 keeps the committed
-// EXPERIMENTS.md seed.
+// at any worker count. -seed re-seeds the whole sweep, deriving an
+// independent seed per cell; 0 keeps the fixed seed whose -quick tables
+// internal/experiments/testdata/golden_quick.txt pins.
 package main
 
 import (
@@ -37,7 +35,6 @@ func main() {
 	out := flag.String("out", "", "also write results as markdown to this file")
 	parallel := flag.Int("parallel", 0, "worker count for sweep cells (0 = all cores, 1 = serial)")
 	seedFlag := flag.Int64("seed", 0, "re-seed the sweep, deriving independent per-cell seeds (0 = committed seed)")
-	shards := flag.Int("shards", 1, "event-loop shards inside each simulated network (tables are identical at any value)")
 	flag.Parse()
 
 	sc := experiments.DefaultScale()
@@ -49,7 +46,6 @@ func main() {
 	}
 	sc.Parallel = *parallel
 	sc.Seed = *seedFlag
-	sc.Shards = *shards
 
 	type entry struct {
 		id  string

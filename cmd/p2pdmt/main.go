@@ -36,7 +36,6 @@ func main() {
 		meanDown  = flag.Duration("mean-downtime", time.Minute, "mean downtime under churn")
 		dropRate  = flag.Float64("drop", 0, "random message loss probability")
 		seed      = flag.Int64("seed", 42, "simulation seed")
-		shards    = flag.Int("shards", 1, "simulator event-loop shards (results are identical at any value)")
 		viz       = flag.Bool("viz", false, "print the node liveness map after the run")
 		verbose   = flag.Bool("v", false, "log network activity")
 	)
@@ -50,7 +49,6 @@ func main() {
 		Threshold: *threshold,
 		DropRate:  *dropRate,
 		Seed:      *seed,
-		Shards:    *shards,
 		Distribution: p2pdmt.Distribution{
 			SizeZipf:  *sizeZipf,
 			ClassSort: *classSort,

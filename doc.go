@@ -21,8 +21,9 @@
 // co-occurrence tag cloud of the paper's Fig. 4.
 //
 // The experiment harness reproducing the paper's demonstration scenarios
-// lives in bench_test.go (one benchmark per experiment; see EXPERIMENTS.md)
-// and is driven by the P2PDMT toolkit under internal/p2pdmt.
+// lives in bench_test.go (one benchmark per experiment; "go run
+// ./cmd/experiments" prints every table) and is driven by the P2PDMT
+// toolkit under internal/p2pdmt.
 //
 // # Parallel execution
 //
@@ -57,31 +58,18 @@
 // TestAutoTagBatchMatchesSerial) and the suite is race-clean under
 // "go test -race ./...".
 //
-// # Parallel simulation
+// # Simulation engine
 //
-// The simulator itself (internal/simnet) is a sharded conservative
-// parallel discrete-event engine (PDES), so one large network can also be
-// split across cores — orthogonal to the sweep- and peer-level parallelism
-// above, and the piece that makes >512-peer message-heavy simulations
-// tractable. Nodes partition over Config.Shards shards by id; each shard
-// owns an event heap and clock. Virtual time advances in barrier-
-// synchronized windows one lookahead wide — the lookahead is the latency
-// model's minimum link delay, so no message sent inside a window can be
-// due before the window ends — and within a window the shards execute
-// concurrently on internal/runner workers, exchanging cross-shard messages
-// through mailboxes that merge at the barrier. System events (churn,
-// stabilizers) run alone at global barriers.
-//
-// The determinism contract is the same as everywhere else in the repo:
-// stats, experiment tables and tag assignments are byte-identical at every
-// shard count, because events are ordered by (time, creating node,
-// per-node counter) rather than by arrival, and every node draws latency
-// jitter, drop decisions and churn sessions from a private stream derived
-// via runner.DeriveSeed(seed, nodeID). The knob threads through every
-// layer: doctagger.Config.Shards, p2pdmt.Config.Shards,
-// experiments.Scale.Shards, "cmd/experiments -shards" and
-// "cmd/p2pdmt -shards"; BenchmarkSimnetShards (internal/simnet) measures
-// the wall-clock scaling and verifies the checksums agree.
+// The simulator (internal/simnet) runs on one event heap and one virtual
+// clock on the calling goroutine. Its determinism contract is the same as
+// everywhere else in the repo: events are ordered by (time, creating node,
+// per-node counter) rather than by arrival, system events (churn,
+// stabilizers) run before node events at the same instant, and every node
+// draws latency jitter, drop decisions and churn sessions from a private
+// stream derived via runner.DeriveSeed(seed, nodeID). The parallelism
+// above — sweep cells, per-peer training, regional merges — runs outside
+// the event loop. BenchmarkEventLoop (internal/simnet) times the event
+// hot path.
 //
 // # Serving
 //
@@ -277,7 +265,7 @@
 //     helper that returns or retains its parameter.
 //   - enginerules: node event handlers must not call serial-point engine
 //     APIs (AddNode/RemoveNode/Kill/Revive/ScheduleSystem) or the setup
-//     stream Rand — the PDES discipline, previously a runtime panic, as a
+//     stream Rand — the engine discipline, previously a runtime panic, as a
 //     compile-time diagnostic.
 //   - fusedmut: svm.FusedLinear and svm.KernelBank are immutable outside
 //     their constructors (the rebuild-on-swap contract above), even when

@@ -13,9 +13,11 @@ import (
 
 // TestDocPathsExist keeps the docs honest about what the tree holds: every
 // cmd/<name>, examples/<name> and ./bench that README.md or the comments of
-// any non-test Go file mention must be a directory, and every `make
-// <target>` a target of the Makefile. Deleting a command without shrinking
-// the docs turns this red.
+// any non-test Go file mention must be a directory, every `make <target>` a
+// target of the Makefile, and every NAME.md (upper-case name, optionally
+// with a directory) a file, relative to the module root or to the naming
+// file's directory. Deleting a command or a document without shrinking the
+// docs turns this red.
 func TestDocPathsExist(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -30,6 +32,7 @@ func TestDocPathsExist(t *testing.T) {
 	// Go comments keep their "//" markers, so there only the quoted form can
 	// match.
 	makeRef := regexp.MustCompile("(?m)(?:^|`)make ([a-z][a-z0-9_-]*)")
+	mdRef := regexp.MustCompile(`(?:[A-Za-z0-9_.-]+/)*[A-Z][A-Z0-9_]*\.md\b`)
 	for _, doc := range docTexts(t) {
 		for _, ref := range dirRef.FindAll(doc.text, -1) {
 			dir := strings.TrimPrefix(string(ref), "./")
@@ -42,7 +45,18 @@ func TestDocPathsExist(t *testing.T) {
 				t.Errorf("%s names `make %s`, which the Makefile does not define", doc.name, m[1])
 			}
 		}
+		for _, ref := range mdRef.FindAll(doc.text, -1) {
+			name := strings.TrimPrefix(string(ref), "./")
+			if !isFile(name) && !isFile(filepath.Join(filepath.Dir(doc.name), name)) {
+				t.Errorf("%s names %s, which is not a file in this tree", doc.name, name)
+			}
+		}
 	}
+}
+
+func isFile(path string) bool {
+	fi, err := os.Stat(path)
+	return err == nil && fi.Mode().IsRegular()
 }
 
 type docText struct {

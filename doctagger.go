@@ -72,11 +72,6 @@ type Config struct {
 	// already owns the cores (e.g. experiment sweeps running many swarms
 	// concurrently).
 	Parallel int
-	// Shards is the number of event-loop shards the simulated swarm is
-	// partitioned over (conservative PDES). 0 or 1 keeps the simulation
-	// serial; larger values execute it concurrently with byte-identical
-	// results — worthwhile for very large swarms only.
-	Shards int
 }
 
 func (c *Config) defaults() error {
@@ -180,7 +175,6 @@ func New(cfg Config) (*Tagger, error) {
 		net: simnet.New(simnet.Options{
 			Latency: simnet.UniformLatency{Min: 10 * time.Millisecond, Max: 60 * time.Millisecond},
 			Seed:    cfg.Seed + 1,
-			Shards:  cfg.Shards,
 		}),
 		self:   0,
 		staged: make(map[simnet.NodeID][]protocol.Doc),

@@ -47,10 +47,6 @@ func main() {
 				EvalDocs: 60,
 				Churn:    lvl.model,
 				Seed:     99,
-				// Shard the simulated network over the cores (conservative
-				// PDES). Results are byte-identical at any shard count —
-				// delete the line and the table does not change.
-				Shards: 4,
 			})
 			if err != nil {
 				log.Fatal(err)

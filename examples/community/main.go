@@ -50,9 +50,7 @@ func main() {
 }
 
 func evaluate(proto string, train, test []doctagger.CorpusDoc) (f1, precision, recall float64, bytes int64) {
-	// Shards parallelizes the swarm's event loop (conservative PDES); the
-	// measured numbers are byte-identical at any shard count.
-	tg, err := doctagger.New(doctagger.Config{Protocol: proto, Peers: peers, Seed: 7, Shards: 2})
+	tg, err := doctagger.New(doctagger.Config{Protocol: proto, Peers: peers, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -50,50 +50,6 @@ func TestParallelTablesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedTablesByteIdentical is the PDES determinism contract at the
-// experiments layer: sharding the simulator inside every cell must render
-// the exact bytes of the serial tables — including E4's churn sweeps and
-// E7's overlay/DHT primitives, which build their networks directly.
-func TestShardedTablesByteIdentical(t *testing.T) {
-	cases := []struct {
-		name string
-		run  func(Scale) (*p2pdmt.Table, error)
-	}{
-		{"E1", E1AccuracyVsPeers},
-		{"E7", E7Topology},
-	}
-	if !testing.Short() {
-		// Churn sweeps are the slowest cells under -race; the short tier
-		// keeps churn-under-sharding coverage via the simnet and p2pdmt
-		// invariance tests instead.
-		cases = append(cases, struct {
-			name string
-			run  func(Scale) (*p2pdmt.Table, error)
-		}{"E4", E4Churn})
-	}
-	baseScale := Scale{MaxPeers: 8, EvalDocs: 12}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			serialScale := baseScale
-			serialScale.Shards = 1
-			serial, err := c.run(serialScale)
-			if err != nil {
-				t.Fatalf("serial: %v", err)
-			}
-			shardedScale := baseScale
-			shardedScale.Shards = 4
-			sharded, err := c.run(shardedScale)
-			if err != nil {
-				t.Fatalf("sharded: %v", err)
-			}
-			if serial.String() != sharded.String() {
-				t.Errorf("rendered tables differ:\n--- shards=1 ---\n%s--- shards=4 ---\n%s",
-					serial, sharded)
-			}
-		})
-	}
-}
-
 // TestScaleSeedDerivesIndependentCells pins the runner's seed-derivation
 // scheme: a custom Scale.Seed reproduces exactly on re-run, and changes
 // the sweep relative to both the committed default and other seeds.

@@ -2,7 +2,7 @@
 // demonstration section (§3) as a parameter sweep over the P2PDMT toolkit.
 // Each function returns the result table the demo would have produced; the
 // root bench_test.go exposes one benchmark per experiment and
-// cmd/experiments regenerates EXPERIMENTS.md from the same code.
+// "go run ./cmd/experiments" prints the same tables.
 //
 // Execution model: every (experiment, config) cell of a sweep is an
 // independent job — it builds its own simulated network from its own seed —
@@ -25,8 +25,8 @@ import (
 	"repro/internal/simnet"
 )
 
-// Scale trades experiment size for wall time: 1 = the sizes used in
-// EXPERIMENTS.md; smaller values shrink sweeps for quick checks.
+// Scale trades experiment size for wall time: DefaultScale is the full
+// sweep, QuickScale shrinks it for quick checks.
 type Scale struct {
 	// MaxPeers caps network sizes in sweeps.
 	MaxPeers int
@@ -40,19 +40,12 @@ type Scale struct {
 	// Seed, when non-zero, re-seeds the whole sweep: every cell derives
 	// its own independent seed from it (and the cell's coordinates) via
 	// runner.DeriveSeed, so trials of the same sweep never share random
-	// streams. 0 reproduces the committed EXPERIMENTS.md tables, which
-	// run every cell at the paper reproduction's fixed seed.
+	// streams. 0 runs every cell at the paper reproduction's fixed seed,
+	// the setting internal/experiments/testdata/golden_quick.txt pins.
 	Seed int64
-	// Shards is the number of event-loop shards inside each cell's
-	// simulated network (conservative PDES). 0 or 1 keeps the simulations
-	// serial — the right choice when Parallel already fans the cells over
-	// the cores; values > 1 parallelize within each simulation, which pays
-	// off for few, very large networks. Tables are byte-identical at every
-	// setting.
-	Shards int
 }
 
-// DefaultScale reproduces the committed EXPERIMENTS.md numbers.
+// DefaultScale is the full sweep "go run ./cmd/experiments" prints.
 func DefaultScale() Scale { return Scale{MaxPeers: 64, EvalDocs: 50} }
 
 // QuickScale is a fast smoke-test scale for CI.
@@ -102,7 +95,6 @@ func baseConfig(proto p2pdmt.ProtocolKind, peers int, sc Scale, coords ...string
 		EvalDocs: sc.EvalDocs,
 		Seed:     sc.cellSeed(coords...),
 		Parallel: 1, // cells are the unit of parallelism in a sweep
-		Shards:   sc.Shards,
 	}
 }
 
@@ -284,7 +276,7 @@ func E5SizeSkew(sc Scale) (*p2pdmt.Table, error) {
 }
 
 // E6ClassSkew sweeps per-user tag concentration (the demo's "class
-// distribution" scenario). Measured shape (documented in EXPERIMENTS.md):
+// distribution" scenario). Measured shape:
 // as users specialize, local-only models improve — personal tag habits are
 // easy to learn — while pooled global models suffer from conflicting
 // contexts; this is precisely the conflict the paper's tag-refinement loop
@@ -329,7 +321,7 @@ func E7Topology(sc Scale) (*p2pdmt.Table, error) {
 		for _, mode := range []string{"flood", "gossip"} {
 			jobs = append(jobs, func() ([][]any, error) {
 				cellSeed := sc.cellSeed("E7", mode, fmt.Sprint(n))
-				net := simnet.New(simnet.Options{Latency: simnet.FixedLatency(20 * time.Millisecond), Seed: cellSeed, Shards: sc.Shards})
+				net := simnet.New(simnet.Options{Latency: simnet.FixedLatency(20 * time.Millisecond), Seed: cellSeed})
 				ids := make([]simnet.NodeID, n)
 				for i := range ids {
 					ids[i] = simnet.NodeID(i)
@@ -348,7 +340,7 @@ func E7Topology(sc Scale) (*p2pdmt.Table, error) {
 		}
 		// Locate: DHT routed lookup.
 		jobs = append(jobs, func() ([][]any, error) {
-			net := simnet.New(simnet.Options{Latency: simnet.FixedLatency(20 * time.Millisecond), Seed: sc.cellSeed("E7", "dht", fmt.Sprint(n)), Shards: sc.Shards})
+			net := simnet.New(simnet.Options{Latency: simnet.FixedLatency(20 * time.Millisecond), Seed: sc.cellSeed("E7", "dht", fmt.Sprint(n))})
 			ids := make([]simnet.NodeID, n)
 			for i := range ids {
 				ids[i] = simnet.NodeID(i)
@@ -356,8 +348,6 @@ func E7Topology(sc Scale) (*p2pdmt.Table, error) {
 			ring := newDHT(net, ids)
 			net.Run(0)
 			net.ResetStats()
-			// One slot per lookup: the completion handlers run on different
-			// simnet shards inside one window, so they must not share a sum.
 			const lookups = 20
 			var hops [lookups]int
 			for q := range hops {

@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// All experiment functions run at QuickScale in tests; the committed
-// EXPERIMENTS.md numbers come from DefaultScale (see cmd/experiments).
+// All experiment functions run at QuickScale in tests, where
+// testdata/golden_quick.txt pins every table; "go run ./cmd/experiments"
+// prints the DefaultScale tables.
 
 func TestE1Shape(t *testing.T) {
 	tbl, err := E1AccuracyVsPeers(QuickScale())

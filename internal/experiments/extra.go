@@ -21,9 +21,8 @@ func newDHT(net *simnet.Network, ids []simnet.NodeID) *dhtHarness {
 	return &dhtHarness{ring: dht.New(net, ids, nil), net: net}
 }
 
-// lookup routes one key lookup and stores its hop count in *hops. The
-// callback runs on the completing node's simnet shard, so concurrent
-// lookups need distinct hops.
+// lookup routes one key lookup and stores its hop count in *hops when the
+// lookup completes.
 func (h *dhtHarness) lookup(from simnet.NodeID, key string, hops *int) error {
 	return h.ring.Lookup(from, dht.HashString(key), func(r dht.LookupResult) {
 		*hops = r.Hops
@@ -71,7 +70,6 @@ func E10Refinement(sc Scale) (*p2pdmt.Table, error) {
 				Regions:  2,
 				Seed:     sc.cellSeed("E10", fmt.Sprint(rounds)),
 				Parallel: 1, // the sweep's cells own the cores
-				Shards:   sc.Shards,
 			})
 			if err != nil {
 				return nil, err
@@ -163,7 +161,6 @@ func F4TagCloud(sc Scale) (*p2pdmt.Table, string, error) {
 	tg, err := doctagger.New(doctagger.Config{
 		Protocol: doctagger.ProtocolCEMPaR, Peers: peers, Regions: 2,
 		Seed: sc.cellSeed("F4"), Parallel: 1, // sweep cells own the cores
-		Shards: sc.Shards,
 	})
 	if err != nil {
 		return nil, "", err

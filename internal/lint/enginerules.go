@@ -7,7 +7,7 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// simnetPath is the import path of the PDES engine package.
+// simnetPath is the import path of the simulator engine package.
 const simnetPath = "repro/internal/simnet"
 
 // engineMutators are the (*simnet.Network) methods that mutate cross-node
@@ -23,13 +23,14 @@ var engineMutators = map[string]string{
 	"ScheduleSystem": "schedules a system event",
 }
 
-// EngineRules enforces the PDES engine discipline: inside simnet protocol
+// EngineRules enforces the simulator engine discipline: inside simnet protocol
 // handlers — HandleMessage bodies, function literals passed to
 // (*Network).Schedule (node timers), and simnet.HandlerFunc literals — it
 // reports calls to engine-mutation APIs (AddNode, RemoveNode, Kill,
 // Revive, ScheduleSystem) and to (*Network).Rand, the setup random stream
-// handlers must not draw from (use NodeRand(self), whose draws stay
-// deterministic under sharding).
+// handlers must not draw from (use NodeRand(self), whose draws depend only
+// on the node's own event history, so one node's traffic cannot shift
+// another node's randomness).
 var EngineRules = &analysis.Analyzer{
 	Name: "enginerules",
 	Doc: "no engine mutation from simnet node event handlers: AddNode/RemoveNode/Kill/Revive/" +
@@ -138,7 +139,7 @@ func checkHandlerBody(pass *analysis.Pass, body ast.Node, seen map[token.Pos]boo
 		if name == "Rand" {
 			pass.Reportf(call.Pos(),
 				"(*simnet.Network).Rand is the serial-point setup stream; handlers must draw "+
-					"from NodeRand(self) so randomness stays deterministic under sharding")
+					"from NodeRand(self) so a node's randomness depends only on its own events")
 		}
 		return true
 	})

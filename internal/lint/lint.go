@@ -9,8 +9,8 @@
 //	                map iteration
 //	scratchescape   fast-path rules: pooled scratch must not escape the
 //	                borrowing call
-//	enginerules     PDES engine rules: no engine mutation from node event
-//	                handlers
+//	enginerules     simulator engine rules: no engine mutation from node
+//	                event handlers
 //	fusedmut        fast-path rules: svm.FusedLinear and svm.KernelBank
 //	                are immutable after construction
 //	lockdiscipline  concurrency rules: no blocking op while a mutex is

@@ -37,8 +37,8 @@ type Handler func(net *simnet.Network, from simnet.NodeID, kind string, payload 
 
 // Overlay is an unstructured random-graph overlay. Like the DHT, all peers
 // share one Overlay object but each keeps only local state (its neighbor
-// list, duplicate-suppression cache and gossip stream), so peers on
-// different simulator shards can forward broadcasts concurrently.
+// list, duplicate-suppression cache and gossip stream), so each peer's
+// forwarding touches only its own state.
 type Overlay struct {
 	net       *simnet.Network
 	neighbors map[simnet.NodeID][]simnet.NodeID
@@ -47,8 +47,8 @@ type Overlay struct {
 	nextID    uint64
 	rng       *rand.Rand // graph construction only
 	// gossipRng holds each peer's private fanout-selection stream, derived
-	// from the overlay seed and the peer id so gossip routes are
-	// independent of shard placement.
+	// from the overlay seed and the peer id so a peer's gossip routes
+	// depend only on its own history.
 	gossipRng map[simnet.NodeID]*rand.Rand
 }
 

@@ -83,13 +83,6 @@ type Config struct {
 	// values <= 0 mean GOMAXPROCS. Results are bit-identical at any
 	// worker count.
 	Parallel int
-	// Shards is the number of event-loop shards the simulated network is
-	// partitioned over (conservative PDES): values > 1 execute the
-	// simulator's lookahead windows concurrently, which is what makes
-	// >512-peer message-heavy runs tractable. 0 or 1 keeps the event loop
-	// serial. Stats, result tables and tag assignments are byte-identical
-	// at every setting.
-	Shards int
 	// Logf, when set, receives the simulator's per-event activity log
 	// (message drops, node failures/recoveries) — the "Log activities"
 	// feature of the toolkit.
@@ -217,7 +210,7 @@ func RunWithData(cfg Config, corpus *dataset.Corpus, train, test []dataset.Docum
 	}
 
 	// Physical network.
-	net := simnet.New(simnet.Options{Latency: cfg.Latency, DropRate: cfg.DropRate, Seed: cfg.Seed + 404, Shards: cfg.Shards})
+	net := simnet.New(simnet.Options{Latency: cfg.Latency, DropRate: cfg.DropRate, Seed: cfg.Seed + 404})
 	if cfg.Logf != nil {
 		net.SetLogf(cfg.Logf)
 	}

@@ -115,33 +115,6 @@ func digest(r *Result) string {
 		r.SkippedOffline, r.LivenessMap)
 }
 
-// TestRunShardInvariant is the PDES determinism contract at the toolkit
-// layer: a full experiment — corpus, training traffic, churn, queries —
-// must produce byte-identical results at every simulator shard count, for
-// a DHT-routed protocol (CEMPaR) and a broadcast protocol (PACE) alike.
-func TestRunShardInvariant(t *testing.T) {
-	for _, proto := range []ProtocolKind{ProtoCEMPaR, ProtoPACE} {
-		ref := ""
-		for _, shards := range []int{1, 2, 4} {
-			cfg := fastConfig(proto)
-			cfg.Shards = shards
-			cfg.Churn = simnet.ExponentialChurn{MeanUptime: 2 * time.Minute, MeanDowntime: 30 * time.Second}
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", proto, shards, err)
-			}
-			d := digest(res)
-			if shards == 1 {
-				ref = d
-				continue
-			}
-			if d != ref {
-				t.Errorf("%s: shards=%d diverges from shards=1:\n got %s\nwant %s", proto, shards, d, ref)
-			}
-		}
-	}
-}
-
 func TestRunUnknownProtocol(t *testing.T) {
 	cfg := fastConfig("nope")
 	if _, err := Run(cfg); err == nil {

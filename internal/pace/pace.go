@@ -82,8 +82,8 @@ func (c *Config) defaults() {
 
 // modelSet is what one peer publishes: its calibrated per-tag bank (pruned
 // and noised before it leaves the peer) and its data centroids. The bank
-// is read-only after training, so receivers on any simulator shard share
-// it; its derived score matrix contributes nothing to the wire size.
+// is read-only after training, so every receiver shares it; its derived
+// score matrix contributes nothing to the wire size.
 type modelSet struct {
 	from      simnet.NodeID
 	bank      *protocol.Bank
@@ -265,12 +265,12 @@ func (s *System) handle(self simnet.NodeID, m simnet.Message) {
 // (based on locality sensitive hashing)"). Centroids are hashed once
 // globally; see the System doc comment.
 //
-// Shard-safety invariant: the shared index only changes when a model-set
+// Handler invariant: the shared index only changes when a model-set
 // version is first seen, which happens at serial points (Fit and Refine
 // index the sender's own set before broadcasting it). A delivery-time
 // ingest always finds the version already indexed and touches only the
-// receiving peer's knowledge set, so concurrent deliveries on different
-// simulator shards never race on the index.
+// receiving peer's knowledge set, so a delivery handler never writes
+// shared state.
 func (s *System) ingest(self simnet.NodeID, ms *modelSet) {
 	p := s.peers[self]
 	p.remote[ms.from] = ms
@@ -414,10 +414,6 @@ func (s *System) Refine(peer simnet.NodeID, doc protocol.Doc) {
 	s.trainLocal(peer)
 	s.publish(peer)
 }
-
-// ModelsKnown reports how many peers' model sets node id holds (including
-// its own) — experiments use it to verify propagation.
-func (s *System) ModelsKnown(id simnet.NodeID) int { return len(s.peers[id].remote) }
 
 // String describes the configuration.
 func (s *System) String() string {

@@ -48,7 +48,7 @@ func TestFitBroadcastsToAllPeers(t *testing.T) {
 	s.Fit()
 	net.RunFor(time.Minute)
 	for i := 0; i < 10; i++ {
-		if got := s.ModelsKnown(simnet.NodeID(i)); got != 10 {
+		if got := len(s.peers[simnet.NodeID(i)].remote); got != 10 {
 			t.Errorf("peer %d knows %d model sets, want 10", i, got)
 		}
 	}
@@ -158,7 +158,7 @@ func TestPeerMissingBroadcastCannotUseModels(t *testing.T) {
 	net.Revive(5)
 	// Peer 5 has no remote models (it missed every broadcast and, being
 	// down at Fit time, trained no own models either).
-	if got := s.ModelsKnown(5); got != 0 {
+	if got := len(s.peers[5].remote); got != 0 {
 		t.Errorf("revived peer knows %d model sets, want 0", got)
 	}
 	fired := false

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"fmt"
 	"testing"
 	"time"
 )
@@ -26,33 +25,4 @@ func BenchmarkEventLoop(b *testing.B) {
 	b.ResetTimer()
 	n.Send(Message{From: 1, To: 0, Kind: "ping", Size: 8})
 	n.Run(0)
-}
-
-// BenchmarkSimnetShards is the headline PDES benchmark: a 512-peer
-// message-heavy token-passing workload (every delivery pays a fixed
-// handler-CPU cost, as real protocol handlers do) executed at 1, 2, 4 and
-// 8 shards. On a multi-core machine the ns/op ratio between shards=1 and
-// shards=4 is the engine's wall-clock speedup; every run is checked
-// against the serial checksum, so the numbers are only reported for
-// byte-identical results.
-func BenchmarkSimnetShards(b *testing.B) {
-	cfg := WorkloadConfig{Nodes: 512, TTL: 40, Work: 64, Seed: 1}
-	ref := NewWorkload(cfg)
-	ref.Run()
-	want := ref.Checksum()
-	for _, k := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
-			events := 0
-			for i := 0; i < b.N; i++ {
-				c := cfg
-				c.Shards = k
-				w := NewWorkload(c)
-				events = w.Run()
-				if sum := w.Checksum(); sum != want {
-					b.Fatalf("shards=%d checksum %x, want %x", k, sum, want)
-				}
-			}
-			b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-		})
-	}
 }

@@ -83,7 +83,7 @@ func (c ParetoChurn) Downtime(rng *rand.Rand) time.Duration {
 // system events so it keeps running while nodes are down. Every node's
 // session lengths come from a private random stream derived from the run
 // seed and the node id, so the churn schedule is independent of message
-// traffic and of the network's shard count.
+// traffic.
 type ChurnProcess struct {
 	net     *Network
 	model   SessionModel

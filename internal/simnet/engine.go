@@ -2,16 +2,13 @@ package simnet
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
-
-	"repro/internal/runner"
 )
 
-// systemSrc is the pseudo-source of system events (churn, stabilizers).
-// It sorts before every node id, so at equal timestamps system events run
-// before node events — at every shard count.
+// systemSrc is the pseudo-node of the system context: the source of
+// system events and of timers for unknown nodes, and the acting node at
+// serial points and inside system events, where code may act as any node.
+// It sorts before every node id.
 const systemSrc = NodeID(-1)
 
 type eventKind uint8
@@ -23,15 +20,12 @@ const (
 )
 
 // event is a scheduled occurrence: a message delivery, a node timer, or a
-// system callback. Events are stored by value in per-shard heaps.
+// system callback. Events are stored by value in the network's heaps.
 //
 // The ordering key is (at, src, seq), where src is the node that created
-// the event and seq is that node's private creation counter. Because a
-// node's events execute in a deterministic order on its own shard, each
-// source's counter — and therefore the global order of every event — is
-// independent of the shard count and of how shards interleave in real time.
-// (The old engine tie-broke on a single global counter, which a parallel
-// run cannot reproduce.)
+// the event and seq is that node's private creation counter. A node's
+// counter advances only in its own events, so the order of every event is
+// a function of each node's own history rather than of one global counter.
 type event struct {
 	at    time.Duration
 	src   NodeID // creating node; systemSrc for system-context events
@@ -54,308 +48,87 @@ func (e event) before(o *event) bool {
 
 type eventHeap = minHeap[event]
 
-// noNode marks a shard as not currently executing any node's event.
-const noNode = int64(-1) << 32
-
-// shard owns the events and traffic counters of the nodes assigned to it
-// (NodeID mod shard count). During a window its heap, clock and stats are
-// touched only by the worker executing it; cross-shard events produced in
-// the window land in inbox under inboxMu and merge at the barrier.
-type shard struct {
-	heap  eventHeap
-	now   time.Duration // time of the last event executed on this shard
-	count int           // events executed in the current window
-
-	// current is the node whose event this shard is executing (noNode
-	// otherwise). push consults it to enforce the engine contract that a
-	// handler acts only as its own node; atomic because the check may read
-	// another shard's marker while that shard's worker writes it.
-	current atomic.Int64
-
-	inboxMu sync.Mutex
-	inbox   []event
-
-	statsMu sync.Mutex // guards stats; see Network.Stats
-	stats   Stats
-}
-
-func (n *Network) shardOf(id NodeID) *shard {
-	i := int(id) % len(n.shards)
-	if i < 0 {
-		i += len(n.shards)
-	}
-	return n.shards[i]
-}
-
-// timeAt returns the current virtual time as seen from sh: the time of the
-// event sh is executing inside a window, or the network's committed clock
-// at serial points. It is the base for Send/Schedule delays.
-func (n *Network) timeAt(sh *shard) time.Duration {
-	if sh.now > n.now {
-		return sh.now
-	}
-	return n.now
-}
-
 // push files an event created by the acting node nd (== n.nodes[acting]).
-// Inside a window the acting node must be the node whose event is
-// executing — push panics otherwise — so its seq counter and its shard's
-// heap are touched race-free; events whose target lives on another shard
-// divert to that shard's mailbox and become visible at the barrier.
+// Inside a node event the acting node must be the node whose event is
+// executing — push panics otherwise — so a node's seq counter advances
+// only in its own events.
 func (n *Network) push(acting NodeID, nd *node, e event) {
-	if n.inWindow && n.shardOf(acting).current.Load() != int64(acting) {
-		panic(fmt.Sprintf("simnet: a handler sent or scheduled as node %d, which it does not own; "+
-			"during a window a handler may only act as its own node", acting))
+	if n.acting != systemSrc && n.acting != acting {
+		panic(fmt.Sprintf("simnet: the handler of node %d sent or scheduled as node %d; "+
+			"a handler may only act as its own node", n.acting, acting))
 	}
 	e.src = acting
 	e.seq = nd.seq
 	nd.seq++
-	var target *shard
-	if e.kind == evMsg {
-		target = n.shardOf(e.msg.To)
-	} else {
-		target = n.shardOf(e.owner)
-	}
-	if n.inWindow && target != n.shardOf(acting) {
-		target.inboxMu.Lock()
-		target.inbox = append(target.inbox, e)
-		target.inboxMu.Unlock()
-		return
-	}
-	target.heap.push(e)
-}
-
-// nextEventTime returns the earliest pending event time across the system
-// queue and every shard.
-func (n *Network) nextEventTime() (time.Duration, bool) {
-	var best *event
-	if top := n.sysHeap.peek(); top != nil {
-		best = top
-	}
-	for _, sh := range n.shards {
-		if top := sh.heap.peek(); top != nil && (best == nil || top.before(best)) {
-			best = top
-		}
-	}
-	if best == nil {
-		return 0, false
-	}
-	return best.at, true
+	n.heap.push(e)
 }
 
 // Run processes events until the queue is empty or virtual time exceeds
 // until (zero means run to quiescence). It returns the number of events
-// processed. When until is positive the clock always lands exactly on
-// until, even if the queue drains earlier, so back-to-back RunFor calls
-// advance the clock by exactly their sum.
+// processed. Events at exactly until still run. When until is positive the
+// clock always lands exactly on until, even if the queue drains earlier,
+// so back-to-back RunFor calls advance the clock by exactly their sum.
 //
-// Time advances in conservative-PDES windows of the lookahead width: every
-// shard executes its own events inside the window (in parallel when
-// Options.Shards > 1 and no activity logger is installed), cross-shard
-// messages become visible at the window barrier, and system events run
-// alone at a global barrier at their exact timestamp. With zero lookahead
-// the engine degrades to serial global-order stepping. Observable results
-// are byte-identical at every shard count either way.
+// Node events run in (time, creating node, per-node counter) order; a
+// system event at time t runs before every node event at t.
 func (n *Network) Run(until time.Duration) int {
 	processed := 0
 	for {
-		t, ok := n.nextEventTime()
-		if !ok {
+		sys, nodeEv := n.sysHeap.peek(), n.heap.peek()
+		next := nodeEv
+		if sys != nil && (nodeEv == nil || sys.at <= nodeEv.at) {
+			next = sys
+		}
+		if next == nil {
 			if until > 0 && n.now < until {
 				n.now = until
 			}
-			break
+			return processed
 		}
-		if until > 0 && t > until {
+		if until > 0 && next.at > until {
 			n.now = until
-			break
+			return processed
 		}
-		if n.now < t {
-			n.now = t
+		if next.at > n.now {
+			n.now = next.at
 		}
-		// System events run serially at a global barrier: they may touch
-		// any node's state (churn kills, stabilizers), which is only safe
-		// while no shard is executing.
-		if top := n.sysHeap.peek(); top != nil && top.at == t {
-			for {
-				top := n.sysHeap.peek()
-				if top == nil || top.at != t {
-					break
-				}
-				e := n.sysHeap.pop()
-				e.fn()
-				processed++
-			}
-			continue
+		if next == sys {
+			e := n.sysHeap.pop()
+			e.fn()
+		} else {
+			e := n.heap.pop()
+			n.execNode(&e)
 		}
-		if n.lookahead <= 0 {
-			// No safe window exists (a zero-latency link could deliver
-			// within any window): step the global minimum event.
-			e, sh := n.popMinNodeEvent()
-			if e.at > sh.now {
-				sh.now = e.at
-			}
-			n.execNode(sh, &e)
-			processed++
-			continue
-		}
-		wEnd := t + n.lookahead
-		if top := n.sysHeap.peek(); top != nil && top.at < wEnd {
-			wEnd = top.at
-		}
-		if until > 0 && until+1 < wEnd {
-			wEnd = until + 1 // events at exactly until still run
-		}
-		processed += n.runWindow(wEnd)
+		processed++
 	}
-	return processed
 }
 
-// runWindow executes every pending event with at < wEnd, one worker per
-// shard that has work, then merges the mailboxes at the barrier.
-func (n *Network) runWindow(wEnd time.Duration) int {
-	active := n.scratch[:0]
-	for _, sh := range n.shards {
-		if top := sh.heap.peek(); top != nil && top.at < wEnd {
-			active = append(active, sh)
-		}
-	}
-	n.scratch = active[:0]
-	n.inWindow = true
-	if len(active) > 1 && n.logf == nil {
-		_ = runner.ForEach(len(active), len(active), func(i int) error {
-			n.runShardWindow(active[i], wEnd)
-			return nil
-		})
-	} else {
-		// One busy shard, or an activity logger is installed (logging from
-		// concurrent shards would interleave nondeterministically): execute
-		// the shards inline. Mailbox visibility — and therefore every
-		// observable result — is identical to the parallel path.
-		for _, sh := range active {
-			n.runShardWindow(sh, wEnd)
-		}
-	}
-	n.inWindow = false
-	total := 0
-	for _, sh := range active {
-		total += sh.count
-		if sh.now > n.now {
-			n.now = sh.now
-		}
-	}
-	for _, sh := range n.shards {
-		for i := range sh.inbox {
-			e := sh.inbox[i]
-			if e.at < wEnd {
-				panic(fmt.Sprintf(
-					"simnet: event from node %d at %v violates the lookahead window ending at %v; "+
-						"the latency model's MinDelay overstates its true minimum, or a handler "+
-						"sent/scheduled as a node it does not own", e.src, e.at, wEnd))
-			}
-			sh.heap.push(e)
-		}
-		sh.inbox = sh.inbox[:0]
-	}
-	return total
-}
-
-func (n *Network) runShardWindow(sh *shard, wEnd time.Duration) {
-	count := 0
-	for {
-		top := sh.heap.peek()
-		if top == nil || top.at >= wEnd {
-			break
-		}
-		e := sh.heap.pop()
-		if e.at > sh.now {
-			sh.now = e.at
-		}
-		n.execNode(sh, &e)
-		count++
-	}
-	sh.count = count
-}
-
-// popMinNodeEvent removes and returns the globally minimal node event.
-// Only called when at least one shard has work and no system event is due
-// first.
-func (n *Network) popMinNodeEvent() (event, *shard) {
-	var best *shard
-	for _, sh := range n.shards {
-		if top := sh.heap.peek(); top != nil {
-			if best == nil || top.before(best.heap.peek()) {
-				best = sh
-			}
-		}
-	}
-	return best.heap.pop(), best
-}
-
-// execNode executes one message delivery or timer on its shard.
-func (n *Network) execNode(sh *shard, e *event) {
+// execNode executes one message delivery or timer as its node.
+func (n *Network) execNode(e *event) {
 	switch e.kind {
 	case evMsg:
 		dst, ok := n.nodes[e.msg.To]
 		if !ok || !dst.alive {
-			sh.statsMu.Lock()
-			sh.stats.MessagesDropped++
-			sh.statsMu.Unlock()
+			n.statsMu.Lock()
+			n.stats.MessagesDropped++
+			n.statsMu.Unlock()
 			n.logAt(e.at, "LOST %s %d->%d (dest down)", e.msg.Kind, e.msg.From, e.msg.To)
 			return
 		}
-		sh.statsMu.Lock()
-		sh.stats.MessagesDelivered++
-		sh.stats.BytesDelivered += int64(e.msg.Size)
-		sh.statsMu.Unlock()
-		sh.current.Store(int64(e.msg.To))
+		n.statsMu.Lock()
+		n.stats.MessagesDelivered++
+		n.stats.BytesDelivered += int64(e.msg.Size)
+		n.statsMu.Unlock()
+		n.acting = e.msg.To
 		dst.handler.HandleMessage(n, e.msg)
-		sh.current.Store(noNode)
+		n.acting = systemSrc
 	default: // evTimer
 		if nd, ok := n.nodes[e.owner]; ok && nd.alive {
-			sh.current.Store(int64(e.owner))
+			n.acting = e.owner
 			e.fn()
-			sh.current.Store(noNode)
+			n.acting = systemSrc
 		}
 	}
-}
-
-// Step processes the single globally next event in canonical order. It
-// reports false when no events are pending. Unlike Run it never groups
-// events into windows, so Now() is exact after every step; results are
-// nevertheless identical because windows only reorder causally independent
-// events.
-func (n *Network) Step() bool {
-	var bestShard *shard
-	var best *event
-	if top := n.sysHeap.peek(); top != nil {
-		best = top
-	}
-	for _, sh := range n.shards {
-		if top := sh.heap.peek(); top != nil && (best == nil || top.before(best)) {
-			best, bestShard = top, sh
-		}
-	}
-	if best == nil {
-		return false
-	}
-	if bestShard == nil {
-		e := n.sysHeap.pop()
-		if e.at > n.now {
-			n.now = e.at
-		}
-		e.fn()
-		return true
-	}
-	e := bestShard.heap.pop()
-	if e.at > n.now {
-		n.now = e.at
-	}
-	if e.at > bestShard.now {
-		bestShard.now = e.at
-	}
-	n.execNode(bestShard, &e)
-	return true
 }
 
 // RunFor advances the simulation by d from the current time.

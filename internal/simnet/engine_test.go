@@ -60,136 +60,25 @@ func TestEventHeapOrdering(t *testing.T) {
 				i, got.at, got.src, got.seq, want[i].at, want[i].src, want[i].seq)
 		}
 	}
-	if !h.empty() {
+	if len(h) != 0 {
 		t.Fatal("heap not drained")
 	}
 }
 
-// shardCounts are the shard settings every invariance test sweeps.
-var shardCounts = []int{1, 2, 4, 8}
-
-// TestShardCountInvariance is the PDES determinism contract at the simnet
-// layer: the same message-heavy workload run at 1, 2, 4 and 8 shards must
-// produce identical per-node delivery digests, identical Stats and an
-// identical final clock.
-func TestShardCountInvariance(t *testing.T) {
-	type outcome struct {
-		sum    uint64
-		events int
-		now    time.Duration
-		stats  Stats
-	}
-	var ref outcome
-	for i, k := range shardCounts {
-		w := NewWorkload(WorkloadConfig{Nodes: 96, TTL: 12, Work: 8, Shards: k, Seed: 42})
-		events := w.Run()
-		got := outcome{sum: w.Checksum(), events: events, now: w.Net.Now(), stats: w.Net.Stats()}
-		if i == 0 {
-			ref = got
-			continue
-		}
-		if got.sum != ref.sum {
-			t.Errorf("shards=%d checksum %x, want %x (shards=%d)", k, got.sum, ref.sum, shardCounts[0])
-		}
-		if got.events != ref.events || got.now != ref.now {
-			t.Errorf("shards=%d processed %d events to %v, want %d to %v",
-				k, got.events, got.now, ref.events, ref.now)
-		}
-		if !reflect.DeepEqual(got.stats, ref.stats) {
-			t.Errorf("shards=%d stats diverge:\n got %+v\nwant %+v", k, got.stats, ref.stats)
-		}
-	}
-}
-
-// TestShardCountInvarianceWithDrops covers the per-node drop decision: the
-// same loss pattern must emerge at every shard count even though each
-// shard draws from its nodes' streams in real-time-dependent order.
-func TestShardCountInvarianceWithDrops(t *testing.T) {
-	run := func(k int) (uint64, Stats) {
-		w := NewWorkloadWithNetwork(WorkloadConfig{Nodes: 64, TTL: 10, Work: 4, Seed: 9},
-			New(Options{Latency: UniformLatency{Min: 8 * time.Millisecond, Max: 20 * time.Millisecond},
-				Seed: 9, Shards: k, DropRate: 0.1}))
-		w.Run()
-		return w.Checksum(), w.Net.Stats()
-	}
-	refSum, refStats := run(1)
-	if refStats.MessagesDropped == 0 {
-		t.Fatal("workload produced no drops; the test exercises nothing")
-	}
-	for _, k := range shardCounts[1:] {
-		sum, stats := run(k)
-		if sum != refSum || !reflect.DeepEqual(stats, refStats) {
-			t.Errorf("shards=%d diverges under message loss (sum %x vs %x, dropped %d vs %d)",
-				k, sum, refSum, stats.MessagesDropped, refStats.MessagesDropped)
-		}
-	}
-}
-
-// TestShardCountInvarianceUnderChurn drives Kill/Revive/RemoveNode — both
-// from a churn process and from explicit system events — and demands
-// identical Stats at every shard count. Run under -race (the CI short
-// tier) this also proves the barriers isolate lifecycle mutation from
-// concurrent window execution.
-func TestShardCountInvarianceUnderChurn(t *testing.T) {
-	run := func(k int) (uint64, Stats, time.Duration) {
-		w := NewWorkloadWithNetwork(WorkloadConfig{Nodes: 64, TTL: 200, Work: 4, Seed: 5},
-			New(Options{Latency: UniformLatency{Min: 8 * time.Millisecond, Max: 20 * time.Millisecond},
-				Seed: 5, Shards: k}))
-		n := w.Net
-		StartChurn(n, ExponentialChurn{MeanUptime: 300 * time.Millisecond, MeanDowntime: 100 * time.Millisecond}, nil)
-		// Explicit lifecycle edits at scripted times, hitting several shards.
-		n.ScheduleSystem(40*time.Millisecond, func() { n.Kill(3); n.Kill(10) })
-		n.ScheduleSystem(90*time.Millisecond, func() { n.Revive(3); n.RemoveNode(17) })
-		n.RunFor(2 * time.Second)
-		return w.Checksum(), n.Stats(), n.Now()
-	}
-	refSum, refStats, refNow := run(1)
-	if refStats.Failures == 0 || refStats.Recoveries == 0 {
-		t.Fatalf("churn never cycled: %+v", refStats)
-	}
-	if refStats.MessagesDropped == 0 {
-		t.Fatal("no in-flight message ever hit a dead node; the test exercises nothing")
-	}
-	for _, k := range shardCounts[1:] {
-		sum, stats, now := run(k)
-		if sum != refSum {
-			t.Errorf("shards=%d checksum %x, want %x", k, sum, refSum)
-		}
-		if now != refNow {
-			t.Errorf("shards=%d final clock %v, want %v", k, now, refNow)
-		}
-		if !reflect.DeepEqual(stats, refStats) {
-			t.Errorf("shards=%d stats diverge under churn:\n got %+v\nwant %+v", k, stats, refStats)
-		}
-	}
-}
-
-// TestStepMatchesRunObservables pins that Step-driven execution reaches
-// the same end state as windowed Run.
-func TestStepMatchesRunObservables(t *testing.T) {
-	build := func() *Workload {
-		return NewWorkload(WorkloadConfig{Nodes: 32, TTL: 6, Work: 4, Shards: 4, Seed: 3})
-	}
-	a := build()
-	a.Run()
-	b := build()
-	steps := 0
-	for b.Net.Step() {
-		steps++
-	}
-	if a.Checksum() != b.Checksum() {
-		t.Error("Step execution diverges from Run execution")
-	}
-	if !reflect.DeepEqual(a.Net.Stats(), b.Net.Stats()) {
-		t.Error("Step stats diverge from Run stats")
-	}
+// guardLatencies are the networks the misuse-guard tests run on: a fixed
+// positive delay, and a zero minimum delay, where a message can be due at
+// the instant it is sent.
+var guardLatencies = []struct {
+	name    string
+	latency LatencyModel
+}{
+	{"fixed", FixedLatency(time.Millisecond)},
+	{"zero-min-delay", UniformLatency{Min: 0, Max: time.Millisecond}},
 }
 
 // TestSerialOnlyGuards pins the engine's misuse panics: lifecycle and
-// system scheduling from inside a node handler would race with concurrent
-// shards, so they must fail loudly at every shard count — including 1,
-// where they would happen to work, because allowing them there would break
-// the shard-invariance contract.
+// system scheduling mutate cross-node state, so calling them from inside a
+// node event handler must fail loudly on every latency model.
 func TestSerialOnlyGuards(t *testing.T) {
 	for _, call := range []struct {
 		name string
@@ -202,33 +91,35 @@ func TestSerialOnlyGuards(t *testing.T) {
 		{"RemoveNode", func(n *Network) { n.RemoveNode(2) }},
 	} {
 		t.Run(call.name, func(t *testing.T) {
-			n := New(Options{Latency: FixedLatency(time.Millisecond)})
-			recovered := false
-			n.AddNode(1, HandlerFunc(func(nn *Network, _ Message) {
-				defer func() {
-					if recover() != nil {
-						recovered = true
+			for _, lat := range guardLatencies {
+				t.Run(lat.name, func(t *testing.T) {
+					n := New(Options{Latency: lat.latency})
+					recovered := false
+					n.AddNode(1, HandlerFunc(func(nn *Network, _ Message) {
+						defer func() {
+							if recover() != nil {
+								recovered = true
+							}
+						}()
+						call.do(nn)
+					}))
+					n.AddNode(2, HandlerFunc(func(*Network, Message) {}))
+					n.Send(Message{From: 1, To: 2, Kind: "x", Size: 1})
+					n.Send(Message{From: 2, To: 1, Kind: "x", Size: 1})
+					n.Run(time.Second)
+					if !recovered {
+						t.Errorf("%s inside a handler did not panic", call.name)
 					}
-				}()
-				call.do(nn)
-			}))
-			n.AddNode(2, HandlerFunc(func(*Network, Message) {}))
-			n.Send(Message{From: 1, To: 2, Kind: "x", Size: 1})
-			n.Send(Message{From: 2, To: 1, Kind: "x", Size: 1})
-			n.Run(0)
-			if !recovered {
-				t.Errorf("%s inside a handler did not panic", call.name)
+				})
 			}
 		})
 	}
 }
 
 // TestActAsOwnNodeGuard pins the engine contract that a handler may only
-// send or schedule as its own node: impersonating another node from
-// inside a window must panic loudly (silently it would corrupt that
-// node's stream and event counter under sharding) — at shard count 1 too,
-// where it would happen to work, because allowing it there would break
-// shard invariance.
+// send or schedule as its own node: impersonating another node must panic
+// loudly (silently it would advance that node's random stream and event
+// counter out of its own event history) on every latency model.
 func TestActAsOwnNodeGuard(t *testing.T) {
 	for _, call := range []struct {
 		name string
@@ -238,32 +129,68 @@ func TestActAsOwnNodeGuard(t *testing.T) {
 		{"Schedule", func(nn *Network) { nn.Schedule(2, time.Millisecond, func() {}) }},
 	} {
 		t.Run(call.name, func(t *testing.T) {
-			n := New(Options{Latency: FixedLatency(time.Millisecond)})
-			recovered := false
-			n.AddNode(1, HandlerFunc(func(nn *Network, _ Message) {
-				defer func() {
-					if recover() != nil {
-						recovered = true
+			for _, lat := range guardLatencies {
+				t.Run(lat.name, func(t *testing.T) {
+					n := New(Options{Latency: lat.latency})
+					recovered := false
+					n.AddNode(1, HandlerFunc(func(nn *Network, _ Message) {
+						defer func() {
+							if recover() != nil {
+								recovered = true
+							}
+						}()
+						call.do(nn)
+					}))
+					n.AddNode(2, HandlerFunc(func(*Network, Message) {}))
+					n.Send(Message{From: 2, To: 1, Kind: "x", Size: 1})
+					n.Run(time.Second)
+					if !recovered {
+						t.Errorf("handler of node 1 acting as node 2 via %s did not panic", call.name)
 					}
-				}()
-				call.do(nn)
-			}))
-			n.AddNode(2, HandlerFunc(func(*Network, Message) {}))
-			n.Send(Message{From: 2, To: 1, Kind: "x", Size: 1})
-			n.Run(0)
-			if !recovered {
-				t.Errorf("handler of node 1 acting as node 2 via %s did not panic", call.name)
+				})
 			}
 		})
 	}
 }
 
-// TestStatsConsistentAcrossShards reads Stats concurrently with a sharded
-// run: because the snapshot holds every shard's lock, it must never
-// observe more deliveries than sends even while four shards count
-// independently.
-func TestStatsConsistentAcrossShards(t *testing.T) {
-	w := NewWorkload(WorkloadConfig{Nodes: 64, TTL: 50, Work: 16, Shards: 4, Seed: 2})
+// TestSameInstantOrder pins the order of three events due at the same
+// virtual time, created in the reverse of the order they must run: a
+// system event first, then a timer filed for a node that did not exist
+// when it was scheduled (the system event adds that node), then a node's
+// message. Every handler sees the exact event time.
+func TestSameInstantOrder(t *testing.T) {
+	const at = 10 * time.Millisecond
+	n := New(Options{Latency: FixedLatency(at)})
+	var order []string
+	record := func(what string) {
+		if n.Now() != at {
+			t.Errorf("%s ran at %v, want %v", what, n.Now(), at)
+		}
+		order = append(order, what)
+	}
+	n.AddNode(1, HandlerFunc(func(*Network, Message) {}))
+	n.AddNode(2, HandlerFunc(func(*Network, Message) { record("message") }))
+	n.Send(Message{From: 1, To: 2, Kind: "x", Size: 1})
+	n.Schedule(9, at, func() { record("unknown-owner timer") })
+	n.ScheduleSystem(at, func() {
+		record("system")
+		n.AddNode(9, HandlerFunc(func(*Network, Message) {}))
+	})
+	if got := n.Run(0); got != 3 {
+		t.Errorf("Run processed %d events, want 3", got)
+	}
+	want := []string{"system", "unknown-owner timer", "message"}
+	if !reflect.DeepEqual(order, want) {
+		t.Errorf("order %q, want %q", order, want)
+	}
+}
+
+// TestStatsConsistentDuringRun reads Stats on another goroutine while a
+// message-heavy workload runs: because the snapshot is taken under one
+// lock, it must never observe more deliveries than sends. Under -race (the
+// CI short tier) this also catches any unguarded counter access.
+func TestStatsConsistentDuringRun(t *testing.T) {
+	w := NewWorkload(WorkloadConfig{Nodes: 64, TTL: 50, Work: 16, Seed: 2})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -291,42 +218,5 @@ func TestStatsConsistentAcrossShards(t *testing.T) {
 	wg.Wait()
 	if s := w.Net.Stats(); s.MessagesDelivered == 0 {
 		t.Fatal("workload delivered nothing")
-	}
-}
-
-// TestLookaheadZeroStillDeterministic: a latency model without a positive
-// minimum delay forces serial stepping; results must still be identical at
-// every shard count.
-func TestLookaheadZeroStillDeterministic(t *testing.T) {
-	run := func(k int) (uint64, Stats) {
-		w := NewWorkloadWithNetwork(WorkloadConfig{Nodes: 32, TTL: 8, Work: 4, Seed: 13},
-			New(Options{Latency: UniformLatency{Min: 0, Max: 10 * time.Millisecond}, Seed: 13, Shards: k}))
-		w.Run()
-		return w.Checksum(), w.Net.Stats()
-	}
-	refSum, refStats := run(1)
-	for _, k := range shardCounts[1:] {
-		sum, stats := run(k)
-		if sum != refSum || !reflect.DeepEqual(stats, refStats) {
-			t.Errorf("shards=%d diverges with zero lookahead", k)
-		}
-	}
-}
-
-// TestMinDelayModels pins the lookahead each built-in model reports.
-func TestMinDelayModels(t *testing.T) {
-	cases := []struct {
-		model LatencyModel
-		want  time.Duration
-	}{
-		{FixedLatency(50 * time.Millisecond), 50 * time.Millisecond},
-		{UniformLatency{Min: 10 * time.Millisecond, Max: 80 * time.Millisecond}, 10 * time.Millisecond},
-		{ClusteredLatency{Local: 5 * time.Millisecond, Remote: 60 * time.Millisecond, Jitter: 2 * time.Millisecond}, 3 * time.Millisecond},
-		{ClusteredLatency{Local: time.Millisecond, Remote: 60 * time.Millisecond, Jitter: 5 * time.Millisecond}, 0},
-	}
-	for _, c := range cases {
-		if got := c.model.(MinDelayer).MinDelay(); got != c.want {
-			t.Errorf("%T MinDelay = %v, want %v", c.model, got, c.want)
-		}
 	}
 }

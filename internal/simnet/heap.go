@@ -12,8 +12,6 @@ type beforer[E any] interface {
 // free (see BenchmarkEventLoop).
 type minHeap[E beforer[E]] []E
 
-func (h minHeap[E]) empty() bool { return len(h) == 0 }
-
 // peek returns the minimum element in place, or nil when the heap is empty.
 // The pointer is invalidated by the next push or pop.
 func (h minHeap[E]) peek() *E {

@@ -5,48 +5,43 @@
 // message is charged its wire size, and churn processes take nodes up and
 // down according to session-length distributions.
 //
-// # Parallel simulation
+// # Determinism
 //
-// The engine is a sharded conservative parallel discrete-event simulator
-// (PDES). Nodes are partitioned over Options.Shards shards by NodeID; each
-// shard owns an event heap, a clock and traffic counters. Virtual time
-// advances in barrier-synchronized windows whose width is the lookahead —
-// the minimum one-way link latency reported by the latency model — so a
-// message sent inside a window can never be due before the window ends,
-// and the shards may execute a window concurrently without ever seeing an
-// event out of order. Cross-shard messages travel through per-shard
-// mailboxes that merge at the window barrier; system events (churn,
-// stabilizers) run alone at global barriers at their exact timestamps.
-//
-// The determinism contract: a run's observable results — Stats, per-node
-// message sequences, protocol outcomes — are byte-identical at every shard
-// count, including Shards=1, which replaces the earlier serial engine.
-// Three disciplines make that hold:
+// The engine is one event heap and one virtual clock, driven by Run on the
+// calling goroutine. A run's observable results — Stats, per-node message
+// sequences, protocol outcomes — are a pure function of the seed and the
+// inputs. Three disciplines make that hold:
 //
 //  1. Every event is keyed (time, creating node, per-node counter), so the
-//     execution order within a shard — and the merged global order — does
-//     not depend on shard count or real-time interleaving.
+//     order of a node's events is a function of that node's own history,
+//     not of a global counter. System events (churn, stabilizers) have
+//     their own heap, and one due at time t runs before every node event
+//     at t.
 //  2. Every node draws its latency jitter and message-loss decisions from
 //     a private random stream derived via runner.DeriveSeed(seed, node),
-//     so a node's draws are a pure function of its own event history, not
-//     of shard placement. Churn draws likewise come from per-node streams.
-//  3. During a window a handler may act only as its own node: it may Send
-//     messages from itself and Schedule timers on itself, but must not
-//     call ScheduleSystem, Kill, Revive, AddNode or RemoveNode (the engine
-//     panics if it does), and must not touch another node's mutable state.
-//     System events and code running between Run calls may act as anyone.
+//     so a node's draws are a pure function of its own event history.
+//     Churn draws likewise come from per-node streams.
+//  3. Inside a node event a handler may act only as its own node: it may
+//     Send messages from itself and Schedule timers on itself, but must
+//     not call ScheduleSystem, Kill, Revive, AddNode or RemoveNode (the
+//     engine panics if it does), and must not touch another node's
+//     mutable state. System events and code running between Run calls may
+//     act as anyone.
 //
-// Handlers on different shards execute concurrently, so protocol state
-// shared between nodes must be read-only while the clock runs (per-node
-// state needs no locking — a node's events never run concurrently with
-// each other).
+// Rule 3 keeps every node a self-contained state machine: what it does
+// depends only on the messages and timers it receives, which is what
+// keeps a protocol's traffic — and the order above — independent of how
+// other nodes' events interleave. Protocol state shared between nodes is
+// read-only while the clock runs.
 package simnet
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/runner"
@@ -88,15 +83,6 @@ type LatencyModel interface {
 	Delay(rng *rand.Rand, from, to NodeID) time.Duration
 }
 
-// MinDelayer is an optional LatencyModel extension reporting a lower bound
-// on Delay. The sharded engine uses it as the conservative lookahead: with
-// a positive minimum delay, shards can execute a window of that width in
-// parallel without risking an out-of-order delivery. Models that do not
-// implement it (or report a non-positive bound) force serial execution.
-type MinDelayer interface {
-	MinDelay() time.Duration
-}
-
 // FixedLatency delays every message by a constant.
 type FixedLatency time.Duration
 
@@ -104,9 +90,6 @@ type FixedLatency time.Duration
 func (f FixedLatency) Delay(*rand.Rand, NodeID, NodeID) time.Duration {
 	return time.Duration(f)
 }
-
-// MinDelay implements MinDelayer.
-func (f FixedLatency) MinDelay() time.Duration { return time.Duration(f) }
 
 // UniformLatency draws delays uniformly from [Min, Max].
 type UniformLatency struct {
@@ -120,9 +103,6 @@ func (u UniformLatency) Delay(rng *rand.Rand, _, _ NodeID) time.Duration {
 	}
 	return u.Min + time.Duration(rng.Int63n(int64(u.Max-u.Min)))
 }
-
-// MinDelay implements MinDelayer.
-func (u UniformLatency) MinDelay() time.Duration { return u.Min }
 
 // ClusteredLatency models a two-level topology: nodes in the same cluster
 // (id / ClusterSize) see Local delay, others see Remote delay, both with
@@ -146,19 +126,6 @@ func (c ClusteredLatency) Delay(rng *rand.Rand, from, to NodeID) time.Duration {
 		base = 0
 	}
 	return base
-}
-
-// MinDelay implements MinDelayer.
-func (c ClusteredLatency) MinDelay() time.Duration {
-	min := c.Local
-	if c.Remote < min {
-		min = c.Remote
-	}
-	min -= c.Jitter
-	if min < 0 {
-		min = 0
-	}
-	return min
 }
 
 type node struct {
@@ -199,16 +166,6 @@ type Options struct {
 	// Seed drives latency jitter, drops and churn. Every node's private
 	// stream is derived from it with runner.DeriveSeed.
 	Seed int64
-	// Shards is the number of event-loop shards the nodes are partitioned
-	// over. Values <= 1 keep the event loop on the calling goroutine;
-	// larger values execute lookahead windows concurrently on that many
-	// workers. Results are byte-identical at every setting — sharding is
-	// purely a wall-clock optimization for large, message-heavy networks.
-	Shards int
-	// Lookahead overrides the conservative window width. 0 derives it from
-	// the latency model's MinDelay; models without a positive minimum
-	// delay leave the engine serial regardless of Shards.
-	Lookahead time.Duration
 }
 
 // Network is the simulated physical network. All methods must be called
@@ -218,19 +175,20 @@ type Options struct {
 // /v1/stats endpoint, a benchmark's progress reader) can observe traffic
 // counters while another goroutine drives the virtual clock.
 type Network struct {
-	now       time.Duration // committed clock; window start while running
-	nodes     map[NodeID]*node
-	latency   LatencyModel
-	drop      float64
-	seed      int64
-	rng       *rand.Rand // setup/system stream; see Rand
-	shards    []*shard
-	scratch   []*shard // reused active-shard list
-	lookahead time.Duration
-	inWindow  bool // a window is executing; guards serial-only methods
-	sysHeap   eventHeap
-	sysSeq    uint64
-	logf      func(format string, args ...any)
+	now     time.Duration // time of the executing or last executed event
+	nodes   map[NodeID]*node
+	latency LatencyModel
+	drop    float64
+	seed    int64
+	rng     *rand.Rand // setup/system stream; see Rand
+	heap    eventHeap  // node events: messages and timers
+	sysHeap eventHeap  // system events
+	sysSeq  uint64
+	acting  NodeID // node whose event is executing, else systemSrc
+	logf    func(format string, args ...any)
+
+	statsMu sync.Mutex // guards stats; see Stats
+	stats   Stats
 }
 
 // New returns an empty network.
@@ -239,34 +197,18 @@ func New(opts Options) *Network {
 	if lat == nil {
 		lat = FixedLatency(50 * time.Millisecond)
 	}
-	k := opts.Shards
-	if k < 1 {
-		k = 1
-	}
-	n := &Network{
+	return &Network{
 		nodes:   make(map[NodeID]*node),
 		latency: lat,
 		drop:    opts.DropRate,
 		seed:    opts.Seed,
 		rng:     rand.New(rand.NewSource(opts.Seed)),
-		shards:  make([]*shard, k),
+		acting:  systemSrc,
+		stats:   newStats(),
 	}
-	for i := range n.shards {
-		n.shards[i] = &shard{stats: newStats()}
-		n.shards[i].current.Store(noNode)
-	}
-	n.lookahead = opts.Lookahead
-	if n.lookahead <= 0 {
-		if md, ok := lat.(MinDelayer); ok {
-			n.lookahead = md.MinDelay()
-		}
-	}
-	return n
 }
 
-// SetLogf installs an activity logger; nil disables logging. While a
-// logger is installed, window execution stays on the calling goroutine so
-// log lines appear in a deterministic order; results are unchanged.
+// SetLogf installs an activity logger; nil disables logging.
 func (n *Network) SetLogf(logf func(format string, args ...any)) { n.logf = logf }
 
 func (n *Network) logAt(at time.Duration, format string, args ...any) {
@@ -275,11 +217,11 @@ func (n *Network) logAt(at time.Duration, format string, args ...any) {
 	}
 }
 
-// serialOnly panics when called during a parallel window: the method
-// mutates cross-node state and is only safe at serial points (between Run
-// calls, or inside system events, which run at global barriers).
+// serialOnly panics when called inside a node event: the method mutates
+// cross-node state, which only serial points (between Run calls) and
+// system events may do.
 func (n *Network) serialOnly(method string) {
-	if n.inWindow {
+	if n.acting != systemSrc {
 		panic("simnet: " + method + " called from a node event handler; " +
 			"only system events and code between runs may use it")
 	}
@@ -332,22 +274,20 @@ func (n *Network) Alive(id NodeID) bool {
 	return ok && nd.alive
 }
 
-// Now returns the current virtual time. At serial points it is exact;
-// while a window executes it reports the window start (handlers needing
-// exact event times should carry them in message payloads). Its value is
-// identical at every shard count.
+// Now returns the current virtual time: inside a handler, the time of the
+// event it is handling.
 func (n *Network) Now() time.Duration { return n.now }
 
 // Rand exposes the setup stream: deterministic randomness tied to the run
 // seed for topology construction and other serial-point choices. Handlers
 // must not draw from it during a run — use NodeRand(self) instead, whose
-// draws stay deterministic under sharding.
+// draws depend only on the node's own event history.
 func (n *Network) Rand() *rand.Rand { return n.rng }
 
 // NodeRand returns a node's private random stream, derived from the run
 // seed and the node id. A handler may draw from its own node's stream
-// only; the draws are then a pure function of the node's event history and
-// independent of shard placement. NodeRand panics on unknown ids.
+// only; the draws are then a pure function of the node's event history.
+// NodeRand panics on unknown ids.
 func (n *Network) NodeRand(id NodeID) *rand.Rand {
 	nd, ok := n.nodes[id]
 	if !ok {
@@ -356,37 +296,18 @@ func (n *Network) NodeRand(id NodeID) *rand.Rand {
 	return nd.rng
 }
 
-// Stats returns a snapshot of the accumulated counters, summed over the
-// shards. It is safe to call from any goroutine, including while another
-// goroutine runs the simulation. All shard locks are held while the
-// snapshot is taken, so the totals are mutually consistent (a concurrent
-// reader can never observe more deliveries than sends).
+// Stats returns a snapshot of the accumulated counters. It is safe to call
+// from any goroutine, including while another goroutine runs the
+// simulation; the snapshot is taken under one lock, so its totals are
+// mutually consistent (a concurrent reader can never observe more
+// deliveries than sends).
 func (n *Network) Stats() Stats {
-	for _, sh := range n.shards {
-		sh.statsMu.Lock()
-	}
-	out := newStats()
-	for _, sh := range n.shards {
-		out.MessagesSent += sh.stats.MessagesSent
-		out.MessagesDelivered += sh.stats.MessagesDelivered
-		out.MessagesDropped += sh.stats.MessagesDropped
-		out.BytesSent += sh.stats.BytesSent
-		out.BytesDelivered += sh.stats.BytesDelivered
-		out.Failures += sh.stats.Failures
-		out.Recoveries += sh.stats.Recoveries
-		for k, v := range sh.stats.BytesByKind {
-			out.BytesByKind[k] += v
-		}
-		for k, v := range sh.stats.MessagesByKind {
-			out.MessagesByKind[k] += v
-		}
-		for k, v := range sh.stats.BytesByNode {
-			out.BytesByNode[k] += v
-		}
-	}
-	for _, sh := range n.shards {
-		sh.statsMu.Unlock()
-	}
+	n.statsMu.Lock()
+	defer n.statsMu.Unlock()
+	out := n.stats
+	out.BytesByKind = maps.Clone(n.stats.BytesByKind)
+	out.MessagesByKind = maps.Clone(n.stats.MessagesByKind)
+	out.BytesByNode = maps.Clone(n.stats.BytesByNode)
 	return out
 }
 
@@ -394,53 +315,43 @@ func (n *Network) Stats() Stats {
 // prediction phases of an experiment so each phase is accounted
 // separately). Like Stats, it is safe to call from any goroutine.
 func (n *Network) ResetStats() {
-	for _, sh := range n.shards {
-		sh.statsMu.Lock()
-	}
-	for _, sh := range n.shards {
-		sh.stats = newStats()
-	}
-	for _, sh := range n.shards {
-		sh.statsMu.Unlock()
-	}
+	n.statsMu.Lock()
+	n.stats = newStats()
+	n.statsMu.Unlock()
 }
 
 // Send schedules msg for delivery after the model latency. Sending from a
 // dead node is a programming error and panics; sending to a dead or unknown
-// node silently drops (that is what a real network does). During a window a
-// handler may send only as its own node.
+// node silently drops (that is what a real network does). A handler may
+// send only as its own node.
 func (n *Network) Send(msg Message) {
 	nd, ok := n.nodes[msg.From]
 	if !ok || !nd.alive {
 		panic(fmt.Sprintf("simnet: send from dead or unknown node %d", msg.From))
 	}
-	sh := n.shardOf(msg.From)
-	sh.statsMu.Lock()
-	sh.stats.MessagesSent++
-	sh.stats.BytesSent += int64(msg.Size)
-	sh.stats.BytesByKind[msg.Kind] += int64(msg.Size)
-	sh.stats.MessagesByKind[msg.Kind]++
-	sh.stats.BytesByNode[msg.From] += int64(msg.Size)
-	sh.statsMu.Unlock()
-	base := n.timeAt(sh)
+	n.statsMu.Lock()
+	n.stats.MessagesSent++
+	n.stats.BytesSent += int64(msg.Size)
+	n.stats.BytesByKind[msg.Kind] += int64(msg.Size)
+	n.stats.MessagesByKind[msg.Kind]++
+	n.stats.BytesByNode[msg.From] += int64(msg.Size)
+	n.statsMu.Unlock()
 	if n.drop > 0 && nd.rng.Float64() < n.drop {
-		sh.statsMu.Lock()
-		sh.stats.MessagesDropped++
-		sh.statsMu.Unlock()
-		n.logAt(base, "DROP %s %d->%d (%dB)", msg.Kind, msg.From, msg.To, msg.Size)
+		n.statsMu.Lock()
+		n.stats.MessagesDropped++
+		n.statsMu.Unlock()
+		n.logAt(n.now, "DROP %s %d->%d (%dB)", msg.Kind, msg.From, msg.To, msg.Size)
 		return
 	}
 	delay := n.latency.Delay(nd.rng, msg.From, msg.To)
-	n.push(msg.From, nd, event{at: base + delay, kind: evMsg, msg: msg})
+	n.push(msg.From, nd, event{at: n.now + delay, kind: evMsg, msg: msg})
 }
 
 // Schedule runs fn after delay, provided owner is still alive at that time.
-// During a window a handler may schedule only on its own node.
+// A handler may schedule only on its own node.
 func (n *Network) Schedule(owner NodeID, delay time.Duration, fn func()) {
-	e := event{kind: evTimer, owner: owner, fn: fn}
+	e := event{at: n.now + delay, kind: evTimer, owner: owner, fn: fn}
 	if nd, ok := n.nodes[owner]; ok {
-		sh := n.shardOf(owner)
-		e.at = n.timeAt(sh) + delay
 		n.push(owner, nd, e)
 		return
 	}
@@ -448,16 +359,15 @@ func (n *Network) Schedule(owner NodeID, delay time.Duration, fn func()) {
 	// checked for liveness when it fires (where it will be skipped unless
 	// the node appeared in the meantime).
 	n.serialOnly("Schedule for an unknown node")
-	e.at = n.now + delay
 	e.src = systemSrc
 	e.seq = n.sysSeq
 	n.sysSeq++
-	n.shardOf(owner).heap.push(e)
+	n.heap.push(e)
 }
 
 // ScheduleSystem runs fn after delay regardless of node liveness; churn and
-// measurement processes use it. System events execute alone at a global
-// barrier, so — unlike node handlers — they may touch any node's state.
+// measurement processes use it. System events run between node events, so
+// — unlike node handlers — they may touch any node's state.
 // Handlers must not call it; schedule system work from system events or
 // between runs.
 func (n *Network) ScheduleSystem(delay time.Duration, fn func()) {
@@ -476,10 +386,9 @@ func (n *Network) Kill(id NodeID) {
 		return
 	}
 	nd.alive = false
-	sh := n.shardOf(id)
-	sh.statsMu.Lock()
-	sh.stats.Failures++
-	sh.statsMu.Unlock()
+	n.statsMu.Lock()
+	n.stats.Failures++
+	n.statsMu.Unlock()
 	n.logAt(n.now, "DOWN node %d", id)
 	if lh, ok := nd.handler.(LifecycleHandler); ok {
 		lh.NodeDown(n)
@@ -495,10 +404,9 @@ func (n *Network) Revive(id NodeID) {
 		return
 	}
 	nd.alive = true
-	sh := n.shardOf(id)
-	sh.statsMu.Lock()
-	sh.stats.Recoveries++
-	sh.statsMu.Unlock()
+	n.statsMu.Lock()
+	n.stats.Recoveries++
+	n.statsMu.Unlock()
 	n.logAt(n.now, "UP   node %d", id)
 	if lh, ok := nd.handler.(LifecycleHandler); ok {
 		lh.NodeUp(n)

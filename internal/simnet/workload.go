@@ -8,9 +8,8 @@ import (
 // WorkloadConfig parameterizes a synthetic message-heavy traffic pattern:
 // Tokens tokens hop TTL times between random nodes, and every delivery
 // burns Work rounds of hash mixing — a stand-in for the per-message CPU a
-// real protocol handler spends. The shard-scaling benchmark, the
-// shard-invariance tests and bench/'s simnet probe all drive simulations
-// through it.
+// real protocol handler spends. The pinned-outcome tests and bench/'s
+// simnet probe drive simulations through it.
 type WorkloadConfig struct {
 	// Nodes is the network size; default 64.
 	Nodes int
@@ -24,9 +23,8 @@ type WorkloadConfig struct {
 	Size int
 	// Latency is the delay model; default UniformLatency{8ms, 20ms}.
 	Latency LatencyModel
-	// Shards and Seed pass through to the Network.
-	Shards int
-	Seed   int64
+	// Seed passes through to the Network.
+	Seed int64
 }
 
 // Workload is a network populated with token-passing nodes. Each node
@@ -82,7 +80,7 @@ func (cfg *WorkloadConfig) defaults() {
 // tokens; call Run to execute the traffic.
 func NewWorkload(cfg WorkloadConfig) *Workload {
 	cfg.defaults()
-	return NewWorkloadWithNetwork(cfg, New(Options{Latency: cfg.Latency, Seed: cfg.Seed, Shards: cfg.Shards}))
+	return NewWorkloadWithNetwork(cfg, New(Options{Latency: cfg.Latency, Seed: cfg.Seed}))
 }
 
 // NewWorkloadWithNetwork populates an existing (empty) network with the
@@ -111,7 +109,7 @@ func NewWorkloadWithNetwork(cfg WorkloadConfig, net *Network) *Workload {
 				return
 			}
 			// Forward to a random other node, drawn from this node's
-			// private stream so the route is shard-placement independent.
+			// private stream so the route depends only on its own history.
 			next := NodeID((int(self) + 1 + nn.NodeRand(self).Intn(w.cfg.Nodes-1)) % w.cfg.Nodes)
 			nn.Send(Message{From: self, To: next, Kind: "tok", Size: w.cfg.Size,
 				Payload: token{ttl: tk.ttl - 1, val: v}})
@@ -136,7 +134,7 @@ func (w *Workload) Run() int { return w.Net.Run(0) }
 // Checksum digests every node's accumulated state and delivery count. Two
 // runs of the same config agree on it if and only if every node saw the
 // same token values the same number of times — the workload's
-// shard-invariance witness.
+// determinism witness.
 func (w *Workload) Checksum() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
