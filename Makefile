@@ -1,7 +1,7 @@
 # Local targets mirror the CI job (.github/workflows/ci.yml) exactly, so
 # a green `make check` predicts a green required-checks run.
 
-.PHONY: build test race lint vet fmt fuzz check flake bench benchdiff benchpair
+.PHONY: build test race allocs lint vet fmt fuzz check flake bench benchdiff benchpair
 
 build:
 	go build ./...
@@ -12,6 +12,13 @@ test:
 # The CI test tier: race detector + -short gating.
 race:
 	go test -race -short ./...
+
+# The testing.AllocsPerRun budgets. Their files build only without -race
+# (the race detector instruments allocations), so the race tier above
+# never runs them; the pattern selects exactly those tests.
+ALLOC_PKGS = . ./internal/svm ./internal/textproc ./bench
+allocs:
+	go test -count=1 -run 'Alloc|WorkspaceScales' $(ALLOC_PKGS)
 
 vet:
 	go vet ./...
@@ -35,7 +42,7 @@ fuzz:
 	go test ./internal/realnet -run Fuzz -count=1
 	go test ./internal/wire -run '^$$' -fuzz 'FuzzReadModelSet' -fuzztime 10s
 
-check: build vet fmt lint race
+check: build vet fmt lint race allocs
 
 # Flake hunt over the packages whose tests run on the wall clock: 20 plain
 # runs, then 5 race runs at each of 1, 2 and 4 CPUs. A failure is triaged

@@ -48,9 +48,6 @@
 //     simulator's virtual clock. CEMPaR's per-tag regional cascades and
 //     the centralized baseline's per-tag global models parallelize the
 //     same way. See p2pdmt.Config.Parallel.
-//   - Batch tagging (AutoTagBatch): term extraction fans out per document
-//     while lexicon id assignment stays serial in input order, and all
-//     swarm queries are issued before the network runs once.
 //
 // The determinism contract — parallel execution is bit-identical to
 // serial — is enforced by tests at all three layers (see
@@ -218,13 +215,17 @@
 //
 // # Streaming execution
 //
-// The local score path chains those stages with no materialized
-// intermediates: Preprocessor.VectorizeInto hands the pooled, sorted,
-// weighted entries directly to protocol.Bank.Score (ScoreEntriesInto, then
-// Platt), and protocol.SelectTagsInto thresholds out of reused scratch, so
-// a whole AutoTag runs in at most two allocations (the returned tags) and
-// AutoTagBatch/serving.TagBatch stream documents with O(1) intermediate
-// state. Three contracts make it safe:
+// Tagger has one query path, whatever the protocol:
+// Preprocessor.VectorizeInto hands the pooled, sorted, weighted entries
+// straight to the protocol's PredictEntries, and protocol.SelectTagsInto
+// thresholds out of reused scratch; AutoTagBatch is a loop over the same
+// path, so AutoTagBatch/serving.TagBatch carry O(1) intermediate state. A
+// local protocol scores the borrowed entries in place with
+// protocol.Bank.Score (ScoreEntriesInto, then Platt), so a whole local
+// AutoTag runs in at most two allocations (the returned tags); a protocol
+// that answers over the simulated network (CEMPaR, or a centralized query
+// from a non-coordinator) copies the entries once into the query it sends.
+// Three contracts make it safe:
 //
 //   - Layout selection: NewFusedLinear puts banks of at least 25% fill
 //     and four tags in the blocked layout (rows zero-padded to multiples
@@ -236,7 +237,7 @@
 //     v*0, so both reproduce per-tag Decision exactly; Bank and Pool are
 //     pinned likewise on generated banks.
 //   - Scratch lifetime: the entries VectorizeInto passes to its visitor
-//     (and the scores a protocol.StreamScorer hands its callback) live in
+//     (and the scores PredictEntries hands its callback) live in
 //     pooled scratch, valid only until the visit returns — consume or
 //     copy, never retain. dmtvet/scratchescape enforces this mechanically.
 //

@@ -3,6 +3,7 @@ package doctagger
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -65,12 +66,10 @@ type Config struct {
 	TopK int
 	// Seed makes the swarm deterministic.
 	Seed int64
-	// Parallel is the worker count for the swarm's CPU-bound phases —
-	// per-peer training during Train and batch preprocessing in
-	// AutoTagBatch. 0 (the default) uses every core; 1 runs serially.
-	// Results are bit-identical at any setting; set 1 when the caller
-	// already owns the cores (e.g. experiment sweeps running many swarms
-	// concurrently).
+	// Parallel is the worker count for per-peer training during Train.
+	// 0 (the default) uses every core; 1 runs serially. Results are
+	// bit-identical at any setting; set 1 when the caller already owns the
+	// cores (e.g. experiment sweeps running many swarms concurrently).
 	Parallel int
 }
 
@@ -91,7 +90,7 @@ func (c *Config) defaults() error {
 		c.Threshold = 0
 	case c.Threshold == 0:
 		c.Threshold = 0.5
-	case c.Threshold < 0 || c.Threshold > 1:
+	case c.Threshold < 0 || c.Threshold > 1 || math.IsNaN(c.Threshold):
 		return fmt.Errorf("doctagger: Threshold %v outside [0,1] (use ThresholdNone for an explicit 0)", c.Threshold)
 	}
 	switch {
@@ -139,19 +138,18 @@ type Tagger struct {
 	staged  map[simnet.NodeID][]protocol.Doc
 	setDocs func(simnet.NodeID, []protocol.Doc)
 
-	// Streaming fast path, wired by New when the protocol answers local
-	// queries synchronously (protocol.StreamScorer with StreamsFrom(self)):
-	// documents flow from the pooled preprocessing workspace straight into
-	// fused scoring with no materialized *vector.Sparse. streamVisit and
-	// its callback are built once — per-query closures would escape to the
-	// heap on every call — and deposit each answer into the reused
-	// streamScores/streamOK pair, which the single-goroutine contract
-	// makes safe. selScratch is SelectTagsInto's reused sort buffer.
-	stream       protocol.StreamScorer
-	streamVisit  func([]vector.Entry)
-	streamScores []metrics.ScoredTag
-	streamOK     bool
-	selScratch   []metrics.ScoredTag
+	// The query path: every document flows from the pooled preprocessing
+	// workspace into the protocol's PredictEntries with no materialized
+	// *vector.Sparse. visit and onScores are built once — per-query
+	// closures would escape to the heap on every call — and onScores
+	// copies each answer into the reused scores/answered pair, which the
+	// single-goroutine contract makes safe. selScratch is SelectTagsInto's
+	// reused sort buffer.
+	visit      func([]vector.Entry)
+	onScores   func([]metrics.ScoredTag, bool)
+	scores     []metrics.ScoredTag
+	answered   bool
+	selScratch []metrics.ScoredTag
 }
 
 // ErrNotTrained is returned by Suggest/AutoTag before Train has run.
@@ -212,17 +210,14 @@ func New(cfg Config) (*Tagger, error) {
 		s.Parallel = cfg.Parallel
 		t.clf, t.refiner, t.setDocs = s, s, s.SetDocs
 	}
-	if ss, ok := t.clf.(protocol.StreamScorer); ok && ss.StreamsFrom(t.self) {
-		t.stream = ss
-		cb := func(sc []metrics.ScoredTag, ok bool) {
-			// The scores live in the protocol's reused scratch, valid only
-			// during the callback: copy into the tagger's own reused slice.
-			t.streamOK = ok
-			t.streamScores = append(t.streamScores[:0], sc...)
-		}
-		t.streamVisit = func(entries []vector.Entry) {
-			t.stream.PredictEntries(t.self, entries, cb)
-		}
+	t.onScores = func(sc []metrics.ScoredTag, ok bool) {
+		// The scores may live in the protocol's reused scratch, valid only
+		// during the callback: copy into the tagger's own reused slice.
+		t.answered = ok
+		t.scores = append(t.scores[:0], sc...)
+	}
+	t.visit = func(entries []vector.Entry) {
+		t.clf.PredictEntries(t.self, entries, t.onScores)
 	}
 	return t, nil
 }
@@ -272,25 +267,16 @@ func (t *Tagger) Train() error {
 // run drives the simulated network to quiescence.
 func (t *Tagger) run() { t.net.Run(0) }
 
-// predictScores answers one local query, streaming when the protocol
-// supports it. The returned scores may live in reused scratch: consume
-// them before the next query.
+// predictScores answers one local query: the document streams into the
+// protocol, and the network runs until the answer is in (a no-op for
+// protocols that answer synchronously). A query whose callback never
+// fires counts as unanswered. The returned scores live in reused
+// scratch: consume them before the next query.
 func (t *Tagger) predictScores(text string) ([]metrics.ScoredTag, bool) {
-	if t.stream != nil {
-		t.pre.VectorizeInto(text, t.streamVisit)
-		// Streaming protocols answer synchronously and send no traffic;
-		// run() is a no-op kept for engine-accounting symmetry.
-		t.run()
-		return t.streamScores, t.streamOK
-	}
-	x := t.pre.Vectorize(text)
-	var scores []metrics.ScoredTag
-	answered := false
-	t.clf.Predict(t.self, x, func(sc []metrics.ScoredTag, ok bool) {
-		scores, answered = sc, ok
-	})
+	t.answered = false
+	t.pre.VectorizeInto(text, t.visit)
 	t.run()
-	return scores, answered
+	return t.scores, t.answered
 }
 
 // Suggest returns the suggestion cloud for a document: every known tag
@@ -334,17 +320,10 @@ func (t *Tagger) AutoTag(text string) ([]string, error) {
 	return tags, nil
 }
 
-// AutoTagBatch assigns tags to many documents in one pass and returns one
-// tag list per input text, in input order. It produces exactly what
-// calling AutoTag on each text in sequence would, but restructures the
-// work for throughput. Under a streaming protocol (local, PACE,
-// coordinator-origin centralized) each document flows through reused
-// scratch — pooled workspace to fused scores to selected tags — with no
-// intermediate vectors at all. Otherwise term extraction fans out over
-// all cores (preprocessing is pure per-document CPU work; lexicon id
-// assignment stays serial in input order so feature ids are
-// reproducible), and every swarm query is issued before the simulated
-// network runs once, instead of draining the event queue per document.
+// AutoTagBatch assigns tags to many documents and returns one tag list per
+// input text, in input order: exactly what calling AutoTag on each text
+// in sequence would, with each document flowing through the tagger's
+// reused scratch, so the batch's intermediate state is O(1).
 //
 // Documents the swarm cannot answer get a nil tag list rather than
 // aborting the batch; the first such failure is reported as an
@@ -357,56 +336,18 @@ func (t *Tagger) AutoTagBatch(texts []string) ([][]string, error) {
 	if !t.trained {
 		return nil, ErrNotTrained
 	}
-	if t.stream != nil {
-		// Streaming protocols answer each query synchronously, so the
-		// batch flows one document at a time through the tagger's reused
-		// scratch — O(1) intermediate state instead of a materialized
-		// per-batch vector slice — and resolves each row immediately.
-		// Answers cannot depend on issue order (queries send no traffic
-		// and mutate no protocol state), so per-doc resolution produces
-		// exactly what issue-all-then-run would.
-		out := make([][]string, len(texts))
-		var firstErr error
-		for i, text := range texts {
-			t.pre.VectorizeInto(text, t.streamVisit)
-			if !t.streamOK {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("doctagger: document %d: %w", i, ErrNoAnswer)
-				}
-				continue
-			}
-			var tags []string
-			tags, t.selScratch = protocol.SelectTagsInto(nil, t.streamScores, t.selScratch, t.cfg.Threshold, t.cfg.MaxTags)
-			if tags == nil {
-				tags = []string{}
-			}
-			out[i] = tags
-		}
-		t.run()
-		return out, firstErr
-	}
-	vecs := t.pre.VectorizeBatch(texts, t.cfg.Parallel)
-	type answer struct {
-		scores []metrics.ScoredTag
-		ok     bool
-	}
-	answers := make([]answer, len(texts))
-	for i, x := range vecs {
-		t.clf.Predict(t.self, x, func(sc []metrics.ScoredTag, ok bool) {
-			answers[i] = answer{scores: sc, ok: ok}
-		})
-	}
-	t.run()
 	out := make([][]string, len(texts))
 	var firstErr error
-	for i, a := range answers {
-		if !a.ok {
+	for i, text := range texts {
+		scores, answered := t.predictScores(text)
+		if !answered {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("doctagger: document %d: %w", i, ErrNoAnswer)
 			}
 			continue
 		}
-		tags := protocol.SelectTags(a.scores, t.cfg.Threshold, t.cfg.MaxTags)
+		var tags []string
+		tags, t.selScratch = protocol.SelectTagsInto(nil, scores, t.selScratch, t.cfg.Threshold, t.cfg.MaxTags)
 		if tags == nil {
 			tags = []string{}
 		}
@@ -438,7 +379,7 @@ func (t *Tagger) Refine(text string, tags ...string) error {
 // out-of-range threshold would silently pin tagging to "everything" or
 // "nothing" — and leave the current threshold unchanged.
 func (t *Tagger) SetThreshold(th float64) error {
-	if th < 0 || th > 1 {
+	if th < 0 || th > 1 || math.IsNaN(th) {
 		return fmt.Errorf("doctagger: threshold %v outside [0,1]", th)
 	}
 	t.cfg.Threshold = th

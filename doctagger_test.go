@@ -1,6 +1,7 @@
 package doctagger
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -57,6 +58,7 @@ func TestConfigSentinels(t *testing.T) {
 	for _, cfg := range []Config{
 		{Threshold: -0.5},
 		{Threshold: 1.5},
+		{Threshold: math.NaN()},
 		{MaxTags: -2},
 	} {
 		if _, err := New(cfg); err == nil {
@@ -200,11 +202,11 @@ func TestAutoTagBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestStreamingMatchesMaterialized pins the streaming fast path — pooled
-// workspace straight into fused scoring, no intermediate vector — against
-// a manually materialized Vectorize+Predict+SelectTags reference on a
-// twin swarm, for every protocol that streams. Scores compare on exact
-// float64 equality: streaming must not change a single bit.
+// TestStreamingMatchesMaterialized pins the query path — pooled workspace
+// straight into the protocol's PredictEntries, no intermediate vector —
+// against a manually materialized Vectorize+Predict+SelectTags reference
+// on a twin swarm, for every protocol. Scores compare on exact float64
+// equality: streaming must not change a single bit.
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	queries := []string{
 		"a new album with a soft piano melody",
@@ -212,7 +214,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 		"a bread recipe with yeast and flour",
 		"",
 	}
-	for _, proto := range []string{ProtocolPACE, ProtocolCentralized, ProtocolLocal} {
+	for _, proto := range []string{ProtocolCEMPaR, ProtocolPACE, ProtocolCentralized, ProtocolLocal} {
 		build := func() *Tagger {
 			tg, err := New(Config{Protocol: proto, Peers: 4, Seed: 11})
 			if err != nil {
@@ -225,9 +227,6 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 			return tg
 		}
 		streaming := build()
-		if streaming.stream == nil {
-			t.Fatalf("%s: streaming path not wired", proto)
-		}
 		ref := build()
 		for _, q := range queries {
 			gotSuggest, err := streaming.Suggest(q)
@@ -272,15 +271,6 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 				}
 			}
 		}
-	}
-	// CEMPaR routes queries over the swarm; it must stay on the
-	// materialized path.
-	tg, err := New(Config{Protocol: ProtocolCEMPaR, Peers: 4, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tg.stream != nil {
-		t.Error("CEMPaR wired a streaming path it cannot honor")
 	}
 }
 
@@ -400,7 +390,7 @@ func TestSetThresholdRejectsOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, th := range []float64{7, -3, 1.0001, -0.0001} {
+	for _, th := range []float64{7, -3, 1.0001, -0.0001, math.NaN()} {
 		if err := tg.SetThreshold(th); err == nil {
 			t.Errorf("SetThreshold(%v) accepted an out-of-range value", th)
 		}

@@ -204,13 +204,6 @@ func (c *Centralized) Predict(from simnet.NodeID, x *vector.Sparse, cb func([]me
 	})
 }
 
-// StreamsFrom implements protocol.StreamScorer: only coordinator-origin
-// queries answer synchronously; everything else crosses the simulated
-// network and resolves when the caller drives it.
-func (c *Centralized) StreamsFrom(from simnet.NodeID) bool {
-	return from == c.cfg.Coordinator
-}
-
 // PredictEntries implements protocol.StreamScorer. Coordinator-origin
 // queries score straight off the borrowed entries into reused scratch
 // (scores handed to cb are valid only during the call); queries from any
@@ -331,10 +324,6 @@ func (l *Local) score(from simnet.NodeID, entries []vector.Entry, dst []metrics.
 func (l *Local) Predict(from simnet.NodeID, x *vector.Sparse, cb func([]metrics.ScoredTag, bool)) {
 	cb(l.score(from, x.Entries(), nil))
 }
-
-// StreamsFrom implements protocol.StreamScorer: Local answers every query
-// synchronously.
-func (l *Local) StreamsFrom(simnet.NodeID) bool { return true }
 
 // PredictEntries implements protocol.StreamScorer: Predict's exact
 // scores, computed straight off the borrowed entries into reused scratch.

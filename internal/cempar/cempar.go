@@ -524,6 +524,14 @@ func (s *System) Predict(from simnet.NodeID, x *vector.Sparse, cb func([]metrics
 	s.net.Schedule(from, s.cfg.QueryTimeout, func() { s.finalize(from, req) })
 }
 
+// PredictEntries implements protocol.StreamScorer: the query travels in
+// network payloads that outlive the borrowed entries, so they are copied
+// into a materialized vector and the query delegates to Predict.
+func (s *System) PredictEntries(from simnet.NodeID, entries []vector.Entry, cb func([]metrics.ScoredTag, bool)) {
+	x := vector.Borrow(entries)
+	s.Predict(from, x.Clone(), cb)
+}
+
 // onQuery evaluates the regional bank at a super-peer and replies.
 func (s *System) onQuery(self simnet.NodeID, q queryMsg) {
 	p := s.peers[self]
@@ -591,27 +599,7 @@ func (s *System) Refine(peer simnet.NodeID, doc protocol.Doc) {
 	s.propagate(peer)
 }
 
-// SuperPeers reports the current ground-truth super-peer of every region
-// (for experiment introspection).
-func (s *System) SuperPeers() []simnet.NodeID { return s.d.ElectSuperPeers(s.cfg.Regions) }
-
-// RegionalTagCount reports how many tags have a regional model at node id;
-// 0 for non-super-peers.
-func (s *System) RegionalTagCount(id simnet.NodeID) int { return len(s.peers[id].regional) }
-
 // String describes the configuration.
 func (s *System) String() string {
 	return fmt.Sprintf("CEMPaR(regions=%d kernel=%s weighted=%v)", s.cfg.Regions, s.cfg.Kernel.Kind, s.cfg.Weighted)
-}
-
-// DebugRegional exposes a super-peer's regional decision, calibration and
-// vote weight for one tag — used by diagnostic tools and tests.
-func (s *System) DebugRegional(id simnet.NodeID, tag string, x *vector.Sparse) (decision float64, platt svm.PlattParams, weight float64, ok bool) {
-	p := s.peers[id]
-	m, ok := p.regional[tag]
-	if !ok {
-		return 0, svm.PlattParams{}, 0, false
-	}
-	i := sort.SearchStrings(p.bank.Tags(), tag)
-	return m.Decision(x), p.platt[i], p.weight[i], true
 }

@@ -106,17 +106,63 @@ func TestFitAndPredict(t *testing.T) {
 	}
 }
 
+// TestPredictEntriesMatchesPredict pins the streaming entry point to the
+// materialized one on twin deployments: the same queries, from a
+// super-peer and from other peers, score bit-identically with the same
+// ok. The borrowed entries are overwritten right after the call and
+// before the network delivers the query, so an implementation that kept
+// the borrow instead of copying it would answer a different query.
+func TestPredictEntriesMatchesPredict(t *testing.T) {
+	netA, a := build(t, 12, Config{Regions: 2, Weighted: true, Seed: 3})
+	a.Fit()
+	netA.RunFor(time.Minute)
+	netB, b := build(t, 12, Config{Regions: 2, Weighted: true, Seed: 3})
+	b.Fit()
+	netB.RunFor(time.Minute)
+	// Peer 0 (the Tagger's origin), a super-peer, and two other peers.
+	origins := []simnet.NodeID{0, a.d.ElectSuperPeers(a.cfg.Regions)[0], 5, 10}
+	for _, from := range origins {
+		for topic := 0; topic < 3; topic++ {
+			x := topicDoc(topic, int(from)%8).X
+			want, wantOK := predict(t, netA, a, from, x)
+			var got []metrics.ScoredTag
+			gotOK, fired := false, false
+			entries := slices.Clone(x.Entries())
+			b.PredictEntries(from, entries, func(sc []metrics.ScoredTag, o bool) {
+				got = append([]metrics.ScoredTag(nil), sc...)
+				gotOK, fired = o, true
+			})
+			for i := range entries {
+				entries[i] = vector.Entry{Index: 300 + int32(i), Value: -1}
+			}
+			netB.RunFor(30 * time.Second)
+			if !fired {
+				t.Fatalf("peer %d topic %d: PredictEntries callback never fired", from, topic)
+			}
+			if gotOK != wantOK || len(got) != len(want) {
+				t.Fatalf("peer %d topic %d: streamed %d scores (ok=%v), materialized %d (ok=%v)",
+					from, topic, len(got), gotOK, len(want), wantOK)
+			}
+			for i := range got {
+				if got[i].Tag != want[i].Tag || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+					t.Errorf("peer %d topic %d score %d: streamed %+v != materialized %+v", from, topic, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestModelsReachSuperPeers(t *testing.T) {
 	net, s := build(t, 12, Config{Regions: 2, Seed: 3})
 	s.Fit()
 	net.RunFor(time.Minute)
-	sps := s.SuperPeers()
+	sps := s.d.ElectSuperPeers(s.cfg.Regions)
 	if len(sps) != 2 {
 		t.Fatalf("super-peers = %v", sps)
 	}
 	total := 0
 	for _, sp := range sps {
-		total += s.RegionalTagCount(sp)
+		total += len(s.peers[sp].regional)
 	}
 	if total == 0 {
 		t.Fatal("no regional models cascaded")
@@ -144,7 +190,7 @@ func TestQueryTimesOutWhenSuperPeersDie(t *testing.T) {
 	net, s := build(t, 8, Config{Regions: 2, QueryTimeout: 5 * time.Second, Seed: 3})
 	s.Fit()
 	net.RunFor(time.Minute)
-	for _, sp := range s.SuperPeers() {
+	for _, sp := range s.d.ElectSuperPeers(s.cfg.Regions) {
 		net.Kill(sp)
 	}
 	// Pick a querying peer that is still alive.
@@ -166,7 +212,7 @@ func TestRefreshAfterSuperPeerFailureRestoresService(t *testing.T) {
 	net, s := build(t, 12, Config{Regions: 2, QueryTimeout: 5 * time.Second, Seed: 3})
 	s.Fit()
 	net.RunFor(time.Minute)
-	before := s.SuperPeers()
+	before := s.d.ElectSuperPeers(s.cfg.Regions)
 	for _, sp := range before {
 		net.Kill(sp)
 	}
@@ -289,16 +335,19 @@ func tapAnswers(answers *[]simnet.Message) func(simnet.Message) {
 func checkAnswer(t *testing.T, s *System, weighted bool, m simnet.Message, x *vector.Sparse) {
 	t.Helper()
 	a := m.Payload.(answerMsg)
-	if len(a.tags) != s.RegionalTagCount(m.From) || len(a.scores) != len(a.tags) || len(a.weight) != len(a.tags) {
+	p := s.peers[m.From]
+	if len(a.tags) != len(p.regional) || len(a.scores) != len(a.tags) || len(a.weight) != len(a.tags) {
 		t.Fatalf("super-peer %d answered %d tags, %d scores, %d weights for %d regional models",
-			m.From, len(a.tags), len(a.scores), len(a.weight), s.RegionalTagCount(m.From))
+			m.From, len(a.tags), len(a.scores), len(a.weight), len(p.regional))
 	}
 	for i, tag := range a.tags {
-		dec, platt, weight, ok := s.DebugRegional(m.From, tag, x)
+		model, ok := p.regional[tag]
 		if !ok {
 			t.Fatalf("super-peer %d answered tag %q it has no regional model for", m.From, tag)
 		}
-		if want := platt.Prob(dec); math.Float64bits(a.scores[i]) != math.Float64bits(want) {
+		j := sort.SearchStrings(p.bank.Tags(), tag)
+		weight := p.weight[j]
+		if want := p.platt[j].Prob(model.Decision(x)); math.Float64bits(a.scores[i]) != math.Float64bits(want) {
 			t.Errorf("super-peer %d tag %q: answered %v, reference %v", m.From, tag, a.scores[i], want)
 		}
 		if !weighted {
@@ -312,7 +361,7 @@ func checkAnswer(t *testing.T, s *System, weighted bool, m simnet.Message, x *ve
 
 // TestRegionalBankMatchesReference: what a super-peer answers from its
 // kernel bank equals, bit for bit, Platt.Prob of the per-tag
-// KernelModel.Decision that DebugRegional still evaluates — for every
+// per-tag regional KernelModel.Decision — for every
 // super-peer, tag and query, weighted and unweighted.
 func TestRegionalBankMatchesReference(t *testing.T) {
 	for _, weighted := range []bool{true, false} {
@@ -336,7 +385,7 @@ func TestRegionalBankMatchesReference(t *testing.T) {
 				checkAnswer(t, s, weighted, m, x)
 			}
 		}
-		for _, sp := range s.SuperPeers() {
+		for _, sp := range s.d.ElectSuperPeers(s.cfg.Regions) {
 			if !answered[sp] {
 				t.Errorf("super-peer %d never answered", sp)
 			}

@@ -390,10 +390,6 @@ func (s *System) Predict(from simnet.NodeID, x *vector.Sparse, cb func([]metrics
 	cb(s.vote.Scores(), true)
 }
 
-// StreamsFrom implements protocol.StreamScorer: PACE predicts entirely
-// locally, so every query answers synchronously.
-func (s *System) StreamsFrom(simnet.NodeID) bool { return true }
-
 // PredictEntries implements protocol.StreamScorer by wrapping the
 // borrowed entries as a stack-local vector view: Predict reads the query
 // synchronously (distances, LSH lookup, fused scoring) and retains

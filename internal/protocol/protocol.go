@@ -29,9 +29,10 @@ type Doc struct {
 // Classifier is a distributed multi-label classification protocol running
 // on a simulated network. Implementations register their per-peer state at
 // construction; Fit schedules the collaborative training traffic, and
-// Predict schedules a query from one peer. The caller drives the network
-// (net.Run) to make either complete.
+// Predict or PredictEntries schedules a query from one peer. The caller
+// drives the network (net.Run) to make either complete.
 type Classifier interface {
+	StreamScorer
 	// Name identifies the protocol in experiment reports.
 	Name() string
 	// Fit starts collaborative training from each peer's local documents.
@@ -52,22 +53,17 @@ type Refiner interface {
 	Refine(peer simnet.NodeID, doc Doc)
 }
 
-// StreamScorer is implemented by protocols whose Predict can run over raw
-// sorted entries without a materialized *vector.Sparse — the streaming
-// fast path. PredictEntries has Predict's exact semantics (cb invoked
-// exactly once, same scores bit for bit), with a stricter borrow
-// contract: the entries slice is only valid for the duration of the call
-// (it typically lives in pooled preprocessing scratch), so an
-// implementation that must defer the answer — e.g. forward the query over
-// the network — copies the entries first. Likewise the scores slice
-// handed to cb may be reused scratch: cb must consume it synchronously.
+// StreamScorer is the query entry point over raw sorted entries, with no
+// materialized *vector.Sparse: every Classifier implements it, and
+// doctagger.Tagger asks every query through it. PredictEntries has
+// Predict's exact semantics (cb invoked exactly once, same scores bit for
+// bit), with a stricter borrow contract: the entries slice is only valid
+// for the duration of the call (it typically lives in pooled
+// preprocessing scratch), so an implementation that answers later — e.g.
+// forwards the query over the network — copies the entries first.
+// Likewise the scores slice handed to cb may be reused scratch: cb must
+// consume it synchronously.
 type StreamScorer interface {
-	// StreamsFrom reports whether PredictEntries answers synchronously
-	// (cb fires before it returns) for queries originating at from. Only
-	// then can a caller drive a whole batch through reused scratch with
-	// O(1) intermediate state; otherwise it falls back to materialized
-	// vectors that survive until the network delivers the answer.
-	StreamsFrom(from simnet.NodeID) bool
 	PredictEntries(from simnet.NodeID, entries []vector.Entry, cb func(scores []metrics.ScoredTag, ok bool))
 }
 

@@ -2,6 +2,7 @@ package realnet
 
 import (
 	"errors"
+	"math"
 	"slices"
 
 	"repro/internal/metrics"
@@ -39,7 +40,7 @@ func NewEnsemble(threshold float64, maxTags int, set *ModelSet) (*Ensemble, erro
 	if set == nil || len(set.Tags()) == 0 {
 		return nil, errors.New("realnet: ensemble over an empty model set")
 	}
-	if threshold < 0 || threshold > 1 {
+	if threshold < 0 || threshold > 1 || math.IsNaN(threshold) {
 		return nil, errors.New("realnet: ensemble threshold outside [0,1]")
 	}
 	if maxTags < 0 {

@@ -2,6 +2,7 @@ package realnet
 
 import (
 	"errors"
+	"math"
 	"net"
 	"reflect"
 	"slices"
@@ -347,6 +348,9 @@ func TestEnsembleValidation(t *testing.T) {
 	}
 	if _, err := NewEnsemble(1.5, 4, set); err == nil {
 		t.Error("threshold > 1 accepted")
+	}
+	if _, err := NewEnsemble(math.NaN(), 4, set); err == nil {
+		t.Error("NaN threshold accepted")
 	}
 	if _, err := NewEnsemble(0.5, -1, set); err == nil {
 		t.Error("negative maxTags accepted")

@@ -461,10 +461,10 @@ func (s *Server) abortFlight(text string, f *flight) {
 // alongside the remaining results (mirroring AutoTagBatch). Documents with
 // cached answers are served from the cache, duplicate texts are computed
 // once and fanned out to every duplicate row; only distinct misses reach
-// the engines. Inside an engine shard each chunk streams one document at
-// a time through the shard's reused scratch (see doctagger.AutoTagBatch
-// and realnet.Ensemble.AutoTagBatch), so a chunk's intermediate state is
-// O(1) regardless of its size.
+// the engines. Inside an engine shard each chunk is a loop over single
+// documents through the shard's reused scratch, whatever the protocol
+// (see doctagger.AutoTagBatch and realnet.Ensemble.AutoTagBatch), so a
+// chunk's intermediate state is O(1) regardless of its size.
 //
 // Submission blocks until an engine shard has taken every chunk or ctx is
 // cancelled; TagBatch does not fail fast. As with Tag, cancelling after
