@@ -1,7 +1,7 @@
 # Local targets mirror the CI job (.github/workflows/ci.yml) exactly, so
 # a green `make check` predicts a green required-checks run.
 
-.PHONY: build test race allocs lint vet fmt fuzz check flake bench benchdiff benchpair
+.PHONY: build test race allocs golden lint vet fmt fuzz check flake bench benchdiff benchpair
 
 build:
 	go build ./...
@@ -19,6 +19,13 @@ race:
 ALLOC_PKGS = . ./internal/svm ./internal/textproc ./bench
 allocs:
 	go test -count=1 -run 'Alloc|WorkspaceScales' $(ALLOC_PKGS)
+
+# Every quick-scale experiment table against its sha256 in
+# internal/experiments/testdata/golden_quick.txt. The race tier runs with
+# -short, which skips eight of them (A1, A3, E3-E6, E9, E10), so this runs
+# without it — and without the race detector: about 50 s on 2 vCPUs.
+golden:
+	go test -count=1 ./internal/experiments
 
 vet:
 	go vet ./...
@@ -42,7 +49,7 @@ fuzz:
 	go test ./internal/realnet -run Fuzz -count=1
 	go test ./internal/wire -run '^$$' -fuzz 'FuzzReadModelSet' -fuzztime 10s
 
-check: build vet fmt lint race allocs
+check: build vet fmt lint race allocs golden
 
 # Flake hunt over the packages whose tests run on the wall clock: 20 plain
 # runs, then 5 race runs at each of 1, 2 and 4 CPUs. A failure is triaged

@@ -28,7 +28,7 @@ func main() {
 		protoName = flag.String("protocol", "cempar", "cempar | pace | centralized | local")
 		trainFrac = flag.Float64("train-frac", 0.2, "labeled fraction (demo used 0.2)")
 		evalDocs  = flag.Int("eval-docs", 100, "test documents to score (0 = all)")
-		threshold = flag.Float64("threshold", 0.5, "tag confidence threshold")
+		threshold = flag.Float64("threshold", 0.5, "tag confidence threshold in [0,1]; 0 selects the default 0.5")
 		sizeZipf  = flag.Float64("size-zipf", 0, "Zipf skew of per-peer data sizes")
 		classSort = flag.Bool("class-sort", false, "group same-tag documents on the same peers")
 		churnKind = flag.String("churn", "none", "none | exp | pareto")

@@ -46,7 +46,7 @@ type Config struct {
 	// "pace", "centralized" or "local".
 	Protocol string
 	// Peers is the swarm size including the local user (peer 0);
-	// default 16.
+	// default 16. New rejects a negative value.
 	Peers int
 	// Threshold is the confidence needed to auto-assign a tag — the
 	// "Confidence" slider of the demo UI. 0 means the default of 0.5; pass
@@ -60,9 +60,11 @@ type Config struct {
 	// SensitiveWords are filtered from every document before feature
 	// extraction (the privacy filter of §2).
 	SensitiveWords []string
-	// Regions is CEMPaR's super-peer region count; default 4.
+	// Regions is CEMPaR's super-peer region count; 0 means 2 below 32
+	// peers and 4 from 32 peers. New rejects a negative value.
 	Regions int
-	// TopK is PACE's ensemble size; default 5.
+	// TopK is PACE's ensemble size; default 5. New rejects a negative
+	// value.
 	TopK int
 	// Seed makes the swarm deterministic.
 	Seed int64
@@ -82,7 +84,10 @@ func (c *Config) defaults() error {
 	default:
 		return fmt.Errorf("doctagger: unknown protocol %q", c.Protocol)
 	}
-	if c.Peers <= 0 {
+	if c.Peers < 0 || c.Regions < 0 || c.TopK < 0 {
+		return fmt.Errorf("doctagger: negative Peers %d, Regions %d or TopK %d", c.Peers, c.Regions, c.TopK)
+	}
+	if c.Peers == 0 {
 		c.Peers = 16
 	}
 	switch {

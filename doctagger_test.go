@@ -60,6 +60,9 @@ func TestConfigSentinels(t *testing.T) {
 		{Threshold: 1.5},
 		{Threshold: math.NaN()},
 		{MaxTags: -2},
+		{Peers: -1},
+		{Regions: -1},
+		{TopK: -1},
 	} {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("New(%+v) accepted an out-of-range value", cfg)
@@ -70,8 +73,14 @@ func TestConfigSentinels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tg.Threshold() != 0.5 || tg.cfg.MaxTags != 4 {
-		t.Errorf("defaults = threshold %v, maxTags %d", tg.Threshold(), tg.cfg.MaxTags)
+	if tg.Threshold() != 0.5 || tg.cfg.MaxTags != 4 || tg.cfg.Regions != 2 {
+		t.Errorf("defaults = threshold %v, maxTags %d, regions %d", tg.Threshold(), tg.cfg.MaxTags, tg.cfg.Regions)
+	}
+	// From 32 peers the default region count is 4.
+	if tg, err := New(Config{Peers: 32, Seed: 1}); err != nil {
+		t.Fatal(err)
+	} else if tg.cfg.Regions != 4 {
+		t.Errorf("32 peers: default regions %d, want 4", tg.cfg.Regions)
 	}
 	// The sentinels request what the zero value cannot: threshold 0 and no
 	// tag cap.

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -234,7 +235,7 @@ func TestCentralizedRefine(t *testing.T) {
 		if !ok {
 			return
 		}
-		_, found = protocol.ScoreMap(sc)["niche"]
+		found = slices.ContainsFunc(sc, func(s metrics.ScoredTag) bool { return s.Tag == "niche" })
 	})
 	net.RunFor(time.Minute)
 	if !found {
@@ -322,7 +323,7 @@ func TestLocalRefine(t *testing.T) {
 		if !ok {
 			return
 		}
-		_, found = protocol.ScoreMap(sc)["hobby"]
+		found = slices.ContainsFunc(sc, func(s metrics.ScoredTag) bool { return s.Tag == "hobby" })
 	})
 	if !found {
 		t.Error("refined tag not learned locally")

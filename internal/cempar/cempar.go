@@ -25,11 +25,6 @@ import (
 type Config struct {
 	// Regions is the number of super-peer regions; default 4.
 	Regions int
-	// Kernel is the base-learner kernel; default RBF with gamma 1 (the
-	// cascade-SVM paradigm requires a non-linear learner).
-	Kernel svm.Kernel
-	// C is the SVM penalty; default 1.
-	C float64
 	// CascadeFanIn controls how many models merge per cascade layer.
 	CascadeFanIn int
 	// Weighted enables weighting each regional model's vote by the number
@@ -41,12 +36,6 @@ type Config struct {
 	// region's super-peer and aggregates with the paper's "(weighted)
 	// majority voting".
 	OwnRegionOnly bool
-	// SettleDelay is how long a super-peer waits after model arrivals
-	// before (re)cascading; default 2s of simulated time.
-	SettleDelay time.Duration
-	// QueryTimeout bounds how long a querying peer waits for super-peer
-	// answers before concluding with whatever arrived; default 10s.
-	QueryTimeout time.Duration
 	// Seed drives SVM training.
 	Seed int64
 	// Parallel is the worker count for the local-training phase of Fit:
@@ -61,19 +50,21 @@ func (c *Config) defaults() {
 	if c.Regions <= 0 {
 		c.Regions = 4
 	}
-	if c.Kernel == (svm.Kernel{}) {
-		c.Kernel = svm.Kernel{Kind: svm.KernelRBF, Gamma: 1}
-	}
-	if c.C == 0 {
-		c.C = 1
-	}
-	if c.SettleDelay == 0 {
-		c.SettleDelay = 2 * time.Second
-	}
-	if c.QueryTimeout == 0 {
-		c.QueryTimeout = 10 * time.Second
-	}
 }
+
+// Every CEMPaR model is a kernel SVM with this kernel and penalty svmC:
+// the cascade-SVM paradigm requires a non-linear learner.
+var kernel = svm.Kernel{Kind: svm.KernelRBF, Gamma: 1}
+
+const (
+	svmC = 1.0
+	// settleDelay is how long a super-peer waits after model arrivals
+	// before (re)cascading, in simulated time.
+	settleDelay = 2 * time.Second
+	// queryTimeout bounds how long a querying peer waits for super-peer
+	// answers before concluding with whatever arrived.
+	queryTimeout = 10 * time.Second
+)
 
 // peerState holds one peer's protocol state, including its super-peer role
 // (any peer may become one).
@@ -247,7 +238,7 @@ func (s *System) trainLocal(id simnet.NodeID) {
 	for _, tag := range protocol.TagUniverse(p.docs) {
 		exs := protocol.BinaryExamples(p.docs, tag)
 		m, err := svm.TrainKernel(exs, svm.KernelOptions{
-			Kernel: s.cfg.Kernel, C: s.cfg.C, Seed: s.cfg.Seed + int64(id),
+			Kernel: kernel, C: svmC, Seed: s.cfg.Seed + int64(id),
 		})
 		if err != nil {
 			p.sendSamples = true // untrainable locally: contribute raw examples
@@ -338,7 +329,7 @@ func (s *System) onModels(self simnet.NodeID, msg *modelsMsg) {
 		return
 	}
 	p.cascadePending = true
-	s.net.Schedule(self, s.cfg.SettleDelay, func() {
+	s.net.Schedule(self, settleDelay, func() {
 		p.cascadePending = false
 		s.cascade(self)
 	})
@@ -402,7 +393,7 @@ func (s *System) cascade(self simnet.NodeID) {
 		// Samples from one-class peers join the cascade as one degenerate
 		// "model" whose support vectors are exactly the labeled examples.
 		if len(samples) > 0 {
-			if sm := sampleModel(samples, tag, s.cfg.Kernel, s.cfg.C); sm != nil {
+			if sm := sampleModel(samples, tag); sm != nil {
 				models = append(models, sm)
 				w += float64(len(samples))
 			}
@@ -412,7 +403,7 @@ func (s *System) cascade(self simnet.NodeID) {
 		}
 		m, err := svm.Cascade(models, svm.CascadeOptions{
 			KernelOptions: svm.KernelOptions{
-				Kernel: s.cfg.Kernel, C: s.cfg.C, Seed: s.cfg.Seed + 7777,
+				Kernel: kernel, C: svmC, Seed: s.cfg.Seed + 7777,
 			},
 			FanIn: s.cfg.CascadeFanIn,
 		})
@@ -426,7 +417,7 @@ func (s *System) cascade(self simnet.NodeID) {
 			pool = append(pool, mm.SupportExamples()...)
 		}
 		platt := svm.CalibrateKernelCV(pool, svm.KernelOptions{
-			Kernel: s.cfg.Kernel, C: s.cfg.C, Seed: s.cfg.Seed + 8888,
+			Kernel: kernel, C: svmC, Seed: s.cfg.Seed + 8888,
 		}, m, 3)
 		return regionalModel{model: m, platt: platt, weight: w}, nil
 	})
@@ -455,8 +446,8 @@ func (s *System) cascade(self simnet.NodeID) {
 }
 
 // mustBank packs regional models for serving. Every model a cascade sees
-// was trained with cfg.Kernel, so packing can only fail on a cfg.Kernel of
-// unknown kind — a configuration bug.
+// was trained with the package kernel, whose kind NewKernelBank knows, so
+// a packing failure is a bug.
 func mustBank(models map[string]*svm.KernelModel) *svm.KernelBank {
 	b, err := svm.NewKernelBank(models)
 	if err != nil {
@@ -467,15 +458,15 @@ func mustBank(models map[string]*svm.KernelModel) *svm.KernelBank {
 
 // sampleModel wraps raw labeled documents as a degenerate kernel model so
 // the cascade can pool them: every document becomes a support vector with
-// coefficient ±C according to whether it carries the tag. Returns nil when
-// no document mentions anything (empty input).
-func sampleModel(samples []protocol.Doc, tag string, k svm.Kernel, c float64) *svm.KernelModel {
+// coefficient ±svmC according to whether it carries the tag. Returns nil
+// when no document mentions anything (empty input).
+func sampleModel(samples []protocol.Doc, tag string) *svm.KernelModel {
 	if len(samples) == 0 {
 		return nil
 	}
-	m := &svm.KernelModel{Kernel: k}
+	m := &svm.KernelModel{Kernel: kernel}
 	for _, ex := range protocol.BinaryExamples(samples, tag) {
-		m.SVs = append(m.SVs, svm.SupportVector{X: ex.X, Coeff: ex.Y * c})
+		m.SVs = append(m.SVs, svm.SupportVector{X: ex.X, Coeff: ex.Y * svmC})
 	}
 	m.Precompute()
 	return m
@@ -521,7 +512,7 @@ func (s *System) Predict(from simnet.NodeID, x *vector.Sparse, cb func([]metrics
 		})
 	}
 	// Conclude after the timeout with whatever answers arrived.
-	s.net.Schedule(from, s.cfg.QueryTimeout, func() { s.finalize(from, req) })
+	s.net.Schedule(from, queryTimeout, func() { s.finalize(from, req) })
 }
 
 // PredictEntries implements protocol.StreamScorer: the query travels in
@@ -601,5 +592,5 @@ func (s *System) Refine(peer simnet.NodeID, doc protocol.Doc) {
 
 // String describes the configuration.
 func (s *System) String() string {
-	return fmt.Sprintf("CEMPaR(regions=%d kernel=%s weighted=%v)", s.cfg.Regions, s.cfg.Kernel.Kind, s.cfg.Weighted)
+	return fmt.Sprintf("CEMPaR(regions=%d kernel=%s weighted=%v)", s.cfg.Regions, kernel.Kind, s.cfg.Weighted)
 }

@@ -86,6 +86,14 @@ func predict(t *testing.T, net *simnet.Network, s *System, from simnet.NodeID, x
 	return scores, ok
 }
 
+// scoreOf returns tag's score in scores, or 0 when tag is absent.
+func scoreOf(scores []metrics.ScoredTag, tag string) float64 {
+	if i := slices.IndexFunc(scores, func(s metrics.ScoredTag) bool { return s.Tag == tag }); i >= 0 {
+		return scores[i].Score
+	}
+	return 0
+}
+
 func TestFitAndPredict(t *testing.T) {
 	net, s := build(t, 12, Config{Regions: 2, Weighted: true, Seed: 3})
 	s.Fit()
@@ -96,9 +104,8 @@ func TestFitAndPredict(t *testing.T) {
 	if !ok {
 		t.Fatal("prediction failed")
 	}
-	sm := protocol.ScoreMap(scores)
-	if sm["music"] <= sm["travel"] || sm["music"] <= sm["food"] {
-		t.Errorf("music should score highest: %v", sm)
+	if music := scoreOf(scores, "music"); music <= scoreOf(scores, "travel") || music <= scoreOf(scores, "food") {
+		t.Errorf("music should score highest: %v", scores)
 	}
 	best := protocol.SelectTags(scores, 0.5, 1)
 	if len(best) != 1 || best[0] != "music" {
@@ -187,7 +194,7 @@ func TestPredictFromDeadPeerFails(t *testing.T) {
 }
 
 func TestQueryTimesOutWhenSuperPeersDie(t *testing.T) {
-	net, s := build(t, 8, Config{Regions: 2, QueryTimeout: 5 * time.Second, Seed: 3})
+	net, s := build(t, 8, Config{Regions: 2, Seed: 3})
 	s.Fit()
 	net.RunFor(time.Minute)
 	for _, sp := range s.d.ElectSuperPeers(s.cfg.Regions) {
@@ -209,7 +216,7 @@ func TestQueryTimesOutWhenSuperPeersDie(t *testing.T) {
 }
 
 func TestRefreshAfterSuperPeerFailureRestoresService(t *testing.T) {
-	net, s := build(t, 12, Config{Regions: 2, QueryTimeout: 5 * time.Second, Seed: 3})
+	net, s := build(t, 12, Config{Regions: 2, Seed: 3})
 	s.Fit()
 	net.RunFor(time.Minute)
 	before := s.d.ElectSuperPeers(s.cfg.Regions)
@@ -231,9 +238,8 @@ func TestRefreshAfterSuperPeerFailureRestoresService(t *testing.T) {
 	if !ok {
 		t.Fatal("prediction still failing after refresh")
 	}
-	sm := protocol.ScoreMap(scores)
-	if sm["travel"] <= sm["food"] {
-		t.Errorf("travel should outscore food: %v", sm)
+	if scoreOf(scores, "travel") <= scoreOf(scores, "food") {
+		t.Errorf("travel should outscore food: %v", scores)
 	}
 }
 
@@ -259,7 +265,7 @@ func TestRefineImprovesCoverage(t *testing.T) {
 	if !ok {
 		t.Fatal("prediction failed after refine")
 	}
-	if _, found := protocol.ScoreMap(scores)["quantum"]; !found {
+	if !slices.ContainsFunc(scores, func(s metrics.ScoredTag) bool { return s.Tag == "quantum" }) {
 		t.Error("refined tag never became predictable")
 	}
 }
@@ -415,7 +421,7 @@ func TestBankRebuiltAfterRefine(t *testing.T) {
 		t.Fatal("tag answered before it was ever trained")
 	}
 	s.Refine(3, protocol.Doc{X: x, Tags: []string{"quantum"}})
-	net.RunFor(time.Minute) // well past SettleDelay: the super-peer has re-cascaded
+	net.RunFor(time.Minute) // well past settleDelay: the super-peer has re-cascaded
 	for id, p := range s.peers {
 		var want []string
 		for tag := range p.regional {

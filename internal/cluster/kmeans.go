@@ -19,13 +19,16 @@ var ErrNoData = errors.New("cluster: no data")
 type Options struct {
 	// K is the number of clusters; it is clamped to len(data).
 	K int
-	// MaxIterations bounds Lloyd iterations; default 50.
-	MaxIterations int
-	// Tol stops early when no centroid moves more than this; default 1e-6.
-	Tol float64
 	// Seed drives k-means++ seeding.
 	Seed int64
 }
+
+// Lloyd iterations stop after maxIterations, or earlier once no centroid
+// moves more than tol.
+const (
+	maxIterations = 50
+	tol           = 1e-6
+)
 
 // Result holds the output of a k-means run.
 type Result struct {
@@ -48,20 +51,12 @@ func KMeans(data []*vector.Sparse, opts Options) (*Result, error) {
 	if k > len(data) {
 		k = len(data)
 	}
-	maxIter := opts.MaxIterations
-	if maxIter == 0 {
-		maxIter = 50
-	}
-	tol := opts.Tol
-	if tol == 0 {
-		tol = 1e-6
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	centroids := seedPlusPlus(data, k, rng)
 	assign := make([]int, len(data))
 	res := &Result{}
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		res.Iterations = iter + 1
 		// Assignment step.
 		inertia := 0.0

@@ -155,7 +155,7 @@ func TestPropertyInertiaNonIncreasingInK(t *testing.T) {
 	data, _ := blobs(rng, 3, 20)
 	prev := -1.0
 	for k := 1; k <= 4; k++ {
-		res, err := KMeans(data, Options{K: k, Seed: 5, MaxIterations: 100})
+		res, err := KMeans(data, Options{K: k, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}

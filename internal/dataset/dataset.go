@@ -50,11 +50,6 @@ type Config struct {
 	TagZipf float64
 	// TagsPerDocMin/Max bound the number of tags per document.
 	TagsPerDocMin, TagsPerDocMax int
-	// WordsPerTopic is the size of each tag's characteristic vocabulary.
-	WordsPerTopic int
-	// SharedWords is the size of the background vocabulary mixed into
-	// every document.
-	SharedWords int
 	// DocLenMin/Max bound document length in words.
 	DocLenMin, DocLenMax int
 	// NoiseRatio is the fraction of words drawn from the background
@@ -73,6 +68,14 @@ type Config struct {
 	Seed int64
 }
 
+const (
+	// wordsPerTopic is the size of each tag's characteristic vocabulary.
+	wordsPerTopic = 60
+	// sharedWords is the size of the background vocabulary mixed into
+	// every document.
+	sharedWords = 200
+)
+
 // DefaultConfig returns a moderate corpus configuration suitable for
 // experiments: 0.5–1k documents over a few dozen tags.
 func DefaultConfig() Config {
@@ -84,8 +87,6 @@ func DefaultConfig() Config {
 		TagZipf:        1.0,
 		TagsPerDocMin:  1,
 		TagsPerDocMax:  4,
-		WordsPerTopic:  60,
-		SharedWords:    200,
 		DocLenMin:      40,
 		DocLenMax:      150,
 		NoiseRatio:     0.35,
@@ -149,23 +150,23 @@ func Generate(cfg Config) (*Corpus, error) {
 	// tokens past the curated list).
 	topicWords := make([][]string, cfg.NumTags)
 	for t := range topicWords {
-		ws := make([]string, 0, cfg.WordsPerTopic)
+		ws := make([]string, 0, wordsPerTopic)
 		if cfg.RealWords {
 			ws = append(ws, realTopicWords[t%len(realTopicWords)]...)
 		}
-		for j := len(ws); j < cfg.WordsPerTopic; j++ {
+		for j := len(ws); j < wordsPerTopic; j++ {
 			ws = append(ws, fmt.Sprintf("w%dx%d", t, j))
 		}
-		topicWords[t] = ws[:cfg.WordsPerTopic]
+		topicWords[t] = ws[:wordsPerTopic]
 	}
-	shared := make([]string, 0, cfg.SharedWords)
+	shared := make([]string, 0, sharedWords)
 	if cfg.RealWords {
 		shared = append(shared, realSharedWords...)
 	}
-	for j := len(shared); j < cfg.SharedWords; j++ {
+	for j := len(shared); j < sharedWords; j++ {
 		shared = append(shared, fmt.Sprintf("cmn%d", j))
 	}
-	shared = shared[:cfg.SharedWords]
+	shared = shared[:sharedWords]
 
 	// Zipf weights over tags.
 	tagWeights := make([]float64, cfg.NumTags)
@@ -179,7 +180,7 @@ func Generate(cfg Config) (*Corpus, error) {
 
 	corpus := &Corpus{
 		Tags:      tags,
-		VocabSize: cfg.NumTags*cfg.WordsPerTopic + cfg.SharedWords,
+		VocabSize: cfg.NumTags*wordsPerTopic + sharedWords,
 	}
 	docID := 0
 	for u := 0; u < cfg.Users; u++ {

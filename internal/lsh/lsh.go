@@ -20,10 +20,6 @@ type Options struct {
 	// Tables is the number of independent hash tables; more tables raise
 	// recall at the cost of memory; default 4.
 	Tables int
-	// Dim is the expected dimensionality of indexed vectors. Hyperplanes
-	// are drawn lazily up to the highest index seen, so Dim is only a
-	// capacity hint.
-	Dim int
 	// Seed drives hyperplane generation.
 	Seed int64
 }

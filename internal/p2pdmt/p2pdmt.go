@@ -47,20 +47,10 @@ type Config struct {
 	TrainFrac float64
 	// Distribution spreads training documents over peers.
 	Distribution Distribution
-	// Latency is the physical-network delay model.
-	Latency simnet.LatencyModel
 	// DropRate is random message loss.
 	DropRate float64
 	// Churn drives node failures; nil means no churn.
 	Churn simnet.SessionModel
-	// StabilizeEvery re-runs DHT stabilization and protocol refresh under
-	// churn; default 20s.
-	StabilizeEvery time.Duration
-	// TrainWindow is simulated time allowed for collaborative training;
-	// default 2m.
-	TrainWindow time.Duration
-	// QueryWindow is simulated time allowed per query batch; default 30s.
-	QueryWindow time.Duration
 	// EvalDocs caps how many test documents are scored (0 = all).
 	EvalDocs int
 	// Threshold is the tag-assignment confidence threshold; default 0.5.
@@ -68,8 +58,6 @@ type Config struct {
 	// Weighting selects the term-weighting scheme of the preprocessing
 	// stage; default TermFrequency (the paper's representation).
 	Weighting textproc.Weighting
-	// MaxTags caps assigned tags per document; default 4.
-	MaxTags int
 	// CEMPaR and PACE tune the respective protocols.
 	CEMPaR cempar.Config
 	PACE   pace.Config
@@ -108,23 +96,8 @@ func Defaults(cfg Config) Config {
 	if cfg.TrainFrac == 0 {
 		cfg.TrainFrac = 0.2
 	}
-	if cfg.Latency == nil {
-		cfg.Latency = simnet.UniformLatency{Min: 10 * time.Millisecond, Max: 80 * time.Millisecond}
-	}
-	if cfg.StabilizeEvery == 0 {
-		cfg.StabilizeEvery = 20 * time.Second
-	}
-	if cfg.TrainWindow == 0 {
-		cfg.TrainWindow = 2 * time.Minute
-	}
-	if cfg.QueryWindow == 0 {
-		cfg.QueryWindow = 30 * time.Second
-	}
 	if cfg.Threshold == 0 {
 		cfg.Threshold = 0.5
-	}
-	if cfg.MaxTags == 0 {
-		cfg.MaxTags = 4
 	}
 	if cfg.Corpus.Seed == 0 {
 		cfg.Corpus.Seed = cfg.Seed + 101
@@ -134,6 +107,41 @@ func Defaults(cfg Config) Config {
 	}
 	cfg.Corpus.Users = cfg.Peers
 	return cfg
+}
+
+// latency is the physical-network delay model.
+var latency = simnet.UniformLatency{Min: 10 * time.Millisecond, Max: 80 * time.Millisecond}
+
+const (
+	// stabilizeEvery is how often DHT stabilization and protocol refresh
+	// re-run under churn.
+	stabilizeEvery = 20 * time.Second
+	// trainWindow is the simulated time allowed for collaborative
+	// training, and queryWindow the simulated time allowed per query.
+	trainWindow = 2 * time.Minute
+	queryWindow = 30 * time.Second
+	// maxTags caps assigned tags per document.
+	maxTags = 4
+)
+
+// validate rejects a config no run can honour: an unknown protocol, or a
+// Threshold, DropRate or TrainFrac outside [0,1] or NaN. A zero field
+// still selects its default.
+func validate(cfg Config) error {
+	switch cfg.Protocol {
+	case ProtoCEMPaR, ProtoPACE, ProtoCentralized, ProtoLocal:
+	default:
+		return fmt.Errorf("p2pdmt: unknown protocol %q", cfg.Protocol)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"Threshold", cfg.Threshold}, {"DropRate", cfg.DropRate}, {"TrainFrac", cfg.TrainFrac}} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("p2pdmt: %s %v outside [0,1]", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // Result is what one run measures.
@@ -174,6 +182,9 @@ func (r *Result) String() string {
 // evaluate. It is deterministic for a given config.
 func Run(cfg Config) (*Result, error) {
 	cfg = Defaults(cfg)
+	if err := validate(cfg); err != nil {
+		return nil, err
+	}
 	corpus, err := dataset.Generate(cfg.Corpus)
 	if err != nil {
 		return nil, err
@@ -183,9 +194,13 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // RunWithData executes an experiment on pre-generated data, so sweeps can
-// hold the corpus fixed while varying the network.
+// hold the corpus fixed while varying the network. The config is checked
+// before any document is touched.
 func RunWithData(cfg Config, corpus *dataset.Corpus, train, test []dataset.Document) (*Result, error) {
 	cfg = Defaults(cfg)
+	if err := validate(cfg); err != nil {
+		return nil, err
+	}
 
 	// Preprocess with a shared lexicon (peers agree on word ids; in
 	// deployment the id space is the word's hash, which needs no
@@ -210,7 +225,7 @@ func RunWithData(cfg Config, corpus *dataset.Corpus, train, test []dataset.Docum
 	}
 
 	// Physical network.
-	net := simnet.New(simnet.Options{Latency: cfg.Latency, DropRate: cfg.DropRate, Seed: cfg.Seed + 404})
+	net := simnet.New(simnet.Options{Latency: latency, DropRate: cfg.DropRate, Seed: cfg.Seed + 404})
 	if cfg.Logf != nil {
 		net.SetLogf(cfg.Logf)
 	}
@@ -288,29 +303,27 @@ func RunWithData(cfg Config, corpus *dataset.Corpus, train, test []dataset.Docum
 			s.SetDocs(ids[i], docs)
 		}
 		clf = s
-	default:
-		return nil, fmt.Errorf("p2pdmt: unknown protocol %q", cfg.Protocol)
 	}
 
 	// Churn and maintenance.
 	if cfg.Churn != nil {
 		simnet.StartChurn(net, cfg.Churn, ids)
 		if ring != nil {
-			ring.StartStabilizer(cfg.StabilizeEvery)
+			ring.StartStabilizer(stabilizeEvery)
 		}
 		if s, ok := clf.(*cempar.System); ok {
 			var refresh func()
 			refresh = func() {
 				s.Refresh()
-				net.ScheduleSystem(cfg.StabilizeEvery, refresh)
+				net.ScheduleSystem(stabilizeEvery, refresh)
 			}
-			net.ScheduleSystem(cfg.StabilizeEvery, refresh)
+			net.ScheduleSystem(stabilizeEvery, refresh)
 		}
 	}
 
 	// Phase 1: collaborative training.
 	clf.Fit()
-	net.RunFor(cfg.TrainWindow)
+	net.RunFor(trainWindow)
 	trainStats := net.Stats()
 	res := &Result{
 		Protocol:     clf.Name(),
@@ -350,7 +363,7 @@ func RunWithData(cfg Config, corpus *dataset.Corpus, train, test []dataset.Docum
 		clf.Predict(from, x, func(s []metrics.ScoredTag, o bool) {
 			scores, ok, fired = s, o, true
 		})
-		net.RunFor(cfg.QueryWindow)
+		net.RunFor(queryWindow)
 		res.TotalQueries++
 		if !fired || !ok {
 			res.FailedQueries++
@@ -358,7 +371,7 @@ func RunWithData(cfg Config, corpus *dataset.Corpus, train, test []dataset.Docum
 		}
 		answered++
 		gold := metrics.NewLabelSet(doc.Tags)
-		pred := metrics.NewLabelSet(protocol.SelectTags(scores, cfg.Threshold, cfg.MaxTags))
+		pred := metrics.NewLabelSet(protocol.SelectTags(scores, cfg.Threshold, maxTags))
 		eval.Add(gold, pred)
 		p1Sum += metrics.PrecisionAtK(gold, scores, 1)
 		oneErrSum += metrics.OneError(gold, scores)

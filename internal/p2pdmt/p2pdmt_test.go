@@ -2,6 +2,7 @@ package p2pdmt
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -115,10 +116,36 @@ func digest(r *Result) string {
 		r.SkippedOffline, r.LivenessMap)
 }
 
+// TestRunUnknownProtocol: a config no run can honour is refused by Run
+// and by RunWithData before any data is generated or vectorized (the nil
+// corpus would panic if RunWithData touched it).
 func TestRunUnknownProtocol(t *testing.T) {
-	cfg := fastConfig("nope")
-	if _, err := Run(cfg); err == nil {
-		t.Error("unknown protocol accepted")
+	nan := math.NaN()
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"protocol", func(c *Config) { c.Protocol = "nope" }},
+		{"threshold-negative", func(c *Config) { c.Threshold = -1 }},
+		{"threshold-above-one", func(c *Config) { c.Threshold = 2 }},
+		{"threshold-nan", func(c *Config) { c.Threshold = nan }},
+		{"drop-negative", func(c *Config) { c.DropRate = -0.1 }},
+		{"drop-above-one", func(c *Config) { c.DropRate = 1.5 }},
+		{"drop-nan", func(c *Config) { c.DropRate = nan }},
+		{"train-frac-negative", func(c *Config) { c.TrainFrac = -0.2 }},
+		{"train-frac-above-one", func(c *Config) { c.TrainFrac = 1.5 }},
+		{"train-frac-nan", func(c *Config) { c.TrainFrac = nan }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := fastConfig(ProtoLocal)
+			c.edit(&cfg)
+			if _, err := RunWithData(cfg, nil, nil, nil); err == nil {
+				t.Error("RunWithData accepted the config")
+			}
+			if _, err := Run(cfg); err == nil {
+				t.Error("Run accepted the config")
+			}
+		})
 	}
 }
 
@@ -233,7 +260,7 @@ func TestVisualizeRing(t *testing.T) {
 func TestDefaultsFillEverything(t *testing.T) {
 	cfg := Defaults(Config{})
 	if cfg.Peers == 0 || cfg.Protocol == "" || cfg.TrainFrac == 0 ||
-		cfg.Latency == nil || cfg.Threshold == 0 || cfg.MaxTags == 0 ||
+		cfg.Threshold == 0 ||
 		cfg.Corpus.Users != cfg.Peers {
 		t.Errorf("defaults incomplete: %+v", cfg)
 	}

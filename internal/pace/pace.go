@@ -29,20 +29,9 @@ type Config struct {
 	// TopK is the number of nearest models consulted per prediction;
 	// default 5.
 	TopK int
-	// Clusters is the number of k-means centroids each peer publishes;
-	// default 3.
-	Clusters int
 	// DisableLSH switches model retrieval from the paper's LSH index to
 	// an exact scan over all centroids — the ablation for experiment E8.
 	DisableLSH bool
-	// LSHPlanes and LSHTables parameterize the index.
-	LSHPlanes, LSHTables int
-	// C is the linear SVM penalty; default 1.
-	C float64
-	// PruneRel zeroes model weights below this fraction of the largest
-	// weight before broadcast, compressing the wire payload; default 0.02,
-	// negative disables pruning.
-	PruneRel float64
 	// NoiseScale adds Laplace noise (relative to mean weight magnitude)
 	// to every model before it leaves the peer — the privacy-preserving
 	// plug-in slot of §2 ("if we deploy a privacy preserving P2P
@@ -63,22 +52,19 @@ func (c *Config) defaults() {
 	if c.TopK <= 0 {
 		c.TopK = 5
 	}
-	if c.Clusters <= 0 {
-		c.Clusters = 3
-	}
-	if c.LSHPlanes <= 0 {
-		c.LSHPlanes = 10
-	}
-	if c.LSHTables <= 0 {
-		c.LSHTables = 6
-	}
-	if c.C == 0 {
-		c.C = 1
-	}
-	if c.PruneRel == 0 {
-		c.PruneRel = 0.02
-	}
 }
+
+const (
+	// clusters is the number of k-means centroids each peer publishes.
+	clusters = 3
+	// lshPlanes and lshTables parameterize the index.
+	lshPlanes, lshTables = 10, 6
+	// svmC is the linear SVM penalty.
+	svmC = 1.0
+	// pruneRel zeroes model weights below this fraction of the largest
+	// weight before broadcast, compressing the wire payload.
+	pruneRel = 0.02
+)
 
 // modelSet is what one peer publishes: its calibrated per-tag bank (pruned
 // and noised before it leaves the peer) and its data centroids. The bank
@@ -152,7 +138,7 @@ func New(net *simnet.Network, ids []simnet.NodeID, cfg Config) *System {
 		net:   net,
 		peers: make(map[simnet.NodeID]*peerState, len(ids)),
 		index: lsh.New(lsh.Options{
-			Planes: cfg.LSHPlanes, Tables: cfg.LSHTables, Seed: cfg.Seed,
+			Planes: lshPlanes, Tables: lshTables, Seed: cfg.Seed,
 		}),
 		indexed: make(map[simnet.NodeID]*indexedSet),
 	}
@@ -232,10 +218,8 @@ func (s *System) trainLocal(id simnet.NodeID) {
 		return
 	}
 	ms := &modelSet{from: id}
-	ms.bank = protocol.TrainBank(p.docs, s.cfg.C, s.cfg.Seed+int64(id), 1, func(m *svm.LinearModel) *svm.LinearModel {
-		if s.cfg.PruneRel > 0 {
-			m = m.Pruned(s.cfg.PruneRel)
-		}
+	ms.bank = protocol.TrainBank(p.docs, svmC, s.cfg.Seed+int64(id), 1, func(m *svm.LinearModel) *svm.LinearModel {
+		m = m.Pruned(pruneRel)
 		if s.cfg.NoiseScale > 0 {
 			noiseRng := rand.New(rand.NewSource(s.cfg.Seed + 31*int64(id)))
 			m = m.Noised(s.cfg.NoiseScale, noiseRng)
@@ -246,7 +230,7 @@ func (s *System) trainLocal(id simnet.NodeID) {
 	for i, d := range p.docs {
 		xs[i] = d.X
 	}
-	res, err := cluster.KMeans(xs, cluster.Options{K: s.cfg.Clusters, Seed: s.cfg.Seed + int64(id)})
+	res, err := cluster.KMeans(xs, cluster.Options{K: clusters, Seed: s.cfg.Seed + int64(id)})
 	if err == nil {
 		ms.centroids = res.Centroids
 	}
@@ -334,7 +318,7 @@ func (s *System) Predict(from simnet.NodeID, x *vector.Sparse, cb func([]metrics
 		// Retrieve more than TopK candidates since several centroids can
 		// belong to one peer, and hits from senders this peer never heard
 		// from are filtered out by consider().
-		for _, nb := range s.index.Query(x.Normalize(), 2*s.cfg.TopK*s.cfg.Clusters) {
+		for _, nb := range s.index.Query(x.Normalize(), 2*s.cfg.TopK*clusters) {
 			ref := s.centroidRef[nb.ID]
 			if ref.centroid == nil {
 				continue // tombstone from a replaced model set
@@ -417,5 +401,5 @@ func (s *System) String() string {
 	if s.cfg.DisableLSH {
 		retrieval = "scan"
 	}
-	return fmt.Sprintf("PACE(k=%d clusters=%d retrieval=%s)", s.cfg.TopK, s.cfg.Clusters, retrieval)
+	return fmt.Sprintf("PACE(k=%d clusters=%d retrieval=%s)", s.cfg.TopK, clusters, retrieval)
 }

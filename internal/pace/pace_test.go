@@ -1,6 +1,7 @@
 package pace
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -43,6 +44,14 @@ func build(t *testing.T, n int, cfg Config) (*simnet.Network, *System) {
 	return net, s
 }
 
+// scoreOf returns tag's score in scores, or 0 when tag is absent.
+func scoreOf(scores []metrics.ScoredTag, tag string) float64 {
+	if i := slices.IndexFunc(scores, func(s metrics.ScoredTag) bool { return s.Tag == tag }); i >= 0 {
+		return scores[i].Score
+	}
+	return 0
+}
+
 func TestFitBroadcastsToAllPeers(t *testing.T) {
 	net, s := build(t, 10, Config{Seed: 2})
 	s.Fit()
@@ -74,9 +83,8 @@ func TestPredictIsLocalAndCorrect(t *testing.T) {
 	if msgs := net.Stats().MessagesSent; msgs != 0 {
 		t.Errorf("prediction sent %d messages, want 0", msgs)
 	}
-	sm := protocol.ScoreMap(scores)
-	if sm["travel"] <= sm["music"] || sm["travel"] <= sm["food"] {
-		t.Errorf("travel should score highest: %v", sm)
+	if travel := scoreOf(scores, "travel"); travel <= scoreOf(scores, "music") || travel <= scoreOf(scores, "food") {
+		t.Errorf("travel should score highest: %v", scores)
 	}
 }
 
@@ -231,7 +239,7 @@ func TestRefineRebroadcasts(t *testing.T) {
 		if !ok {
 			return
 		}
-		_, found = protocol.ScoreMap(sc)["newtag"]
+		found = slices.ContainsFunc(sc, func(s metrics.ScoredTag) bool { return s.Tag == "newtag" })
 	})
 	if !found {
 		t.Error("refined tag not visible to other peers")

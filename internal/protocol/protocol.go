@@ -161,12 +161,3 @@ func TagUniverse(docs []Doc) []string {
 	sort.Strings(out)
 	return out
 }
-
-// ScoreMap converts scored tags to a map for easy lookup.
-func ScoreMap(scores []metrics.ScoredTag) map[string]float64 {
-	m := make(map[string]float64, len(scores))
-	for _, s := range scores {
-		m[s.Tag] = s.Score
-	}
-	return m
-}

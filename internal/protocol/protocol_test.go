@@ -94,10 +94,3 @@ func TestTagUniverse(t *testing.T) {
 		t.Errorf("empty universe = %v", u)
 	}
 }
-
-func TestScoreMap(t *testing.T) {
-	m := ScoreMap([]metrics.ScoredTag{{Tag: "x", Score: 0.3}})
-	if m["x"] != 0.3 || len(m) != 1 {
-		t.Errorf("ScoreMap = %v", m)
-	}
-}

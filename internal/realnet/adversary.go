@@ -67,7 +67,7 @@ const forgedFloodOrigins = 4
 // AdversaryConfig configures a scripted Byzantine peer.
 type AdversaryConfig struct {
 	// Seed drives every random choice the adversary makes (corruption
-	// patterns, schedules) through runner.DeriveSeed — two adversaries
+	// patterns, forged origins) through runner.DeriveSeed — two adversaries
 	// built from the same config perform byte-identical attacks.
 	Seed int64
 	// Origin is the listen address the adversary claims in its frames. It
@@ -82,15 +82,16 @@ type AdversaryConfig struct {
 	// adversary trains the same base set an honest peer would and then
 	// corrupts it, so its frames are plausible, not random noise.
 	Docs []TaggedText
-	// C is the training penalty for the base set; default 1.
-	C float64
-
-	// Dial overrides the dialer (default net.DialTimeout on "tcp");
-	// DialTimeout and WriteTimeout bound one delivery. Defaults 2s each.
-	Dial         DialFunc
-	DialTimeout  time.Duration
-	WriteTimeout time.Duration
 }
+
+const (
+	// adversaryC is the training penalty for the base set.
+	adversaryC = 1.0
+	// One delivery dials over TCP within adversaryDialTimeout and writes
+	// within adversaryWriteTimeout.
+	adversaryDialTimeout  = 2 * time.Second
+	adversaryWriteTimeout = 2 * time.Second
+)
 
 // Adversary is a deterministic scripted Byzantine peer: it builds
 // poisoned generation frames from an honestly trained base set and
@@ -107,26 +108,12 @@ type Adversary struct {
 }
 
 // NewAdversary trains the adversary's honest base set and returns the
-// harness. The base training is deterministic in (Docs, C, Seed).
+// harness. The base training is deterministic in (Docs, Seed).
 func NewAdversary(cfg AdversaryConfig) (*Adversary, error) {
 	if cfg.Origin == "" {
 		return nil, errors.New("realnet: adversary needs a claimed origin address")
 	}
-	if cfg.C == 0 {
-		cfg.C = 1
-	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = 2 * time.Second
-	}
-	if cfg.Dial == nil {
-		cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, timeout)
-		}
-	}
-	base, err := TrainModelSet(cfg.Docs, cfg.C, cfg.Seed)
+	base, err := TrainModelSet(cfg.Docs, adversaryC, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("realnet: adversary base set: %w", err)
 	}
@@ -162,24 +149,6 @@ func (a *Adversary) Strike(kind AttackKind, seq uint64) error {
 		}
 	}
 	return firstErr
-}
-
-// RunSchedule performs n strikes whose kinds are drawn from the
-// adversary's derived schedule stream, all carrying the given sequence.
-// It returns the kinds it struck with, in order, so a sibling dry-run
-// adversary can be scripted identically.
-func (a *Adversary) RunSchedule(n int, seq uint64) ([]AttackKind, error) {
-	rng := rand.New(rand.NewSource(runner.DeriveSeed(a.cfg.Seed, "adversary", "schedule")))
-	kinds := make([]AttackKind, 0, n)
-	var firstErr error
-	for i := 0; i < n; i++ {
-		kind := AttackKind(rng.Intn(int(numAttackKinds)))
-		kinds = append(kinds, kind)
-		if err := a.Strike(kind, seq); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return kinds, firstErr
 }
 
 // buildPayloads builds the encoded generation frames for one strike. All
@@ -256,11 +225,11 @@ func (a *Adversary) encode(set *ModelSet, origin string, seq uint64) ([][]byte, 
 // deliver dials one target and writes one generation frame, the same
 // frame shape an honest node's gossip uses.
 func (a *Adversary) deliver(to string, payload []byte) error {
-	conn, err := a.cfg.Dial(to, a.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", to, adversaryDialTimeout)
 	if err != nil {
 		return err
 	}
 	defer conn.Close()
-	_ = conn.SetWriteDeadline(time.Now().Add(a.cfg.WriteTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(adversaryWriteTimeout))
 	return writeFrame(conn, frameGen, payload)
 }

@@ -2,7 +2,6 @@ package realnet
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 	"time"
 )
@@ -287,32 +286,30 @@ func TestForgedOriginFloodContained(t *testing.T) {
 }
 
 // TestAdversaryDeterministic pins the harness's reproducibility contract:
-// two adversaries with the same seed build byte-identical attack
-// schedules and payloads (identical running digests), live or dry; a
-// different seed diverges.
+// two adversaries with the same seed build byte-identical attack payloads
+// (identical running digests) for the same scripted strikes; a different
+// seed diverges.
 func TestAdversaryDeterministic(t *testing.T) {
-	build := func(seed int64) (*Adversary, []AttackKind) {
+	build := func(seed int64) *Adversary {
 		adv, err := NewAdversary(AdversaryConfig{
 			Seed: seed, Origin: "10.6.6.6:7000", Docs: trainingTexts(0),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		kinds, err := adv.RunSchedule(8, 5)
-		if err != nil {
-			t.Fatal(err)
+		for i := 0; i < 8; i++ {
+			if err := adv.Strike(AttackKind(i%int(numAttackKinds)), 5); err != nil {
+				t.Fatal(err)
+			}
 		}
-		return adv, kinds
+		return adv
 	}
-	a1, k1 := build(42)
-	a2, k2 := build(42)
-	if !reflect.DeepEqual(k1, k2) {
-		t.Fatalf("same seed, different schedules: %v vs %v", k1, k2)
-	}
+	a1 := build(42)
+	a2 := build(42)
 	if a1.Digest() != a2.Digest() {
 		t.Fatalf("same seed, different digests: %#x vs %#x", a1.Digest(), a2.Digest())
 	}
-	a3, _ := build(43)
+	a3 := build(43)
 	if a3.Digest() == a1.Digest() {
 		t.Error("different seeds produced identical attack digests")
 	}

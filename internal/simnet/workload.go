@@ -19,10 +19,6 @@ type WorkloadConfig struct {
 	TTL int
 	// Work is the number of mix rounds per delivery; default 64.
 	Work int
-	// Size is the wire size charged per message; default 128.
-	Size int
-	// Latency is the delay model; default UniformLatency{8ms, 20ms}.
-	Latency LatencyModel
 	// Seed passes through to the Network.
 	Seed int64
 }
@@ -68,19 +64,19 @@ func (cfg *WorkloadConfig) defaults() {
 	if cfg.Work <= 0 {
 		cfg.Work = 64
 	}
-	if cfg.Size <= 0 {
-		cfg.Size = 128
-	}
-	if cfg.Latency == nil {
-		cfg.Latency = UniformLatency{Min: 8 * time.Millisecond, Max: 20 * time.Millisecond}
-	}
 }
+
+// tokenSize is the wire size charged per token message.
+const tokenSize = 128
+
+// workloadLatency is NewWorkload's delay model.
+var workloadLatency = UniformLatency{Min: 8 * time.Millisecond, Max: 20 * time.Millisecond}
 
 // NewWorkload builds the network and its nodes and injects the initial
 // tokens; call Run to execute the traffic.
 func NewWorkload(cfg WorkloadConfig) *Workload {
 	cfg.defaults()
-	return NewWorkloadWithNetwork(cfg, New(Options{Latency: cfg.Latency, Seed: cfg.Seed}))
+	return NewWorkloadWithNetwork(cfg, New(Options{Latency: workloadLatency, Seed: cfg.Seed}))
 }
 
 // NewWorkloadWithNetwork populates an existing (empty) network with the
@@ -111,7 +107,7 @@ func NewWorkloadWithNetwork(cfg WorkloadConfig, net *Network) *Workload {
 			// Forward to a random other node, drawn from this node's
 			// private stream so the route depends only on its own history.
 			next := NodeID((int(self) + 1 + nn.NodeRand(self).Intn(w.cfg.Nodes-1)) % w.cfg.Nodes)
-			nn.Send(Message{From: self, To: next, Kind: "tok", Size: w.cfg.Size,
+			nn.Send(Message{From: self, To: next, Kind: "tok", Size: tokenSize,
 				Payload: token{ttl: tk.ttl - 1, val: v}})
 		}))
 	}
@@ -121,7 +117,7 @@ func NewWorkloadWithNetwork(cfg WorkloadConfig, net *Network) *Workload {
 		if to == from {
 			to = (to + 1) % NodeID(cfg.Nodes)
 		}
-		w.Net.Send(Message{From: from, To: to, Kind: "tok", Size: cfg.Size,
+		w.Net.Send(Message{From: from, To: to, Kind: "tok", Size: tokenSize,
 			Payload: token{ttl: cfg.TTL, val: mix(uint64(t))}})
 	}
 	return w

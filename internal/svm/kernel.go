@@ -180,17 +180,6 @@ type KernelOptions struct {
 	Kernel Kernel
 	// C is the soft-margin penalty; default 1.
 	C float64
-	// PositiveWeight multiplies C for positive examples to counter class
-	// imbalance; 0 selects the #neg/#pos auto-balance, 1 disables
-	// weighting.
-	PositiveWeight float64
-	// Tol is the KKT violation tolerance; default 1e-3.
-	Tol float64
-	// MaxPasses is the number of full no-progress passes before stopping;
-	// default 5.
-	MaxPasses int
-	// MaxIterations caps total optimization sweeps; default 200.
-	MaxIterations int
 	// Seed drives the second-alpha choice.
 	Seed int64
 }
@@ -199,16 +188,16 @@ func (o *KernelOptions) defaults() {
 	if o.C == 0 {
 		o.C = 1
 	}
-	if o.Tol == 0 {
-		o.Tol = 1e-3
-	}
-	if o.MaxPasses == 0 {
-		o.MaxPasses = 5
-	}
-	if o.MaxIterations == 0 {
-		o.MaxIterations = 200
-	}
 }
+
+// SMO stops after smoMaxPasses consecutive sweeps with no multiplier
+// changed, or after smoMaxIterations sweeps in all; smoTol is the KKT
+// violation tolerance.
+const (
+	smoTol           = 1e-3
+	smoMaxPasses     = 5
+	smoMaxIterations = 200
+)
 
 // TrainKernel fits a kernel SVM with simplified SMO (Platt's algorithm in
 // the form popularized by the Stanford CS229 notes): repeatedly pick pairs
@@ -229,10 +218,8 @@ func TrainKernel(data []Example, opts KernelOptions) (*KernelModel, error) {
 			pos++
 		}
 	}
-	posW := opts.PositiveWeight
-	if posW == 0 {
-		posW = float64(n-pos) / float64(pos)
-	}
+	// Positives get C scaled by the #neg/#pos ratio.
+	posW := float64(n-pos) / float64(pos)
 	cbound := make([]float64, n)
 	for i, ex := range data {
 		cbound[i] = opts.C
@@ -268,12 +255,12 @@ func TrainKernel(data []Example, opts KernelOptions) (*KernelModel, error) {
 
 	rng := newLCG(uint64(opts.Seed)*2654435761 + 1)
 	passes, iter := 0, 0
-	for passes < opts.MaxPasses && iter < opts.MaxIterations {
+	for passes < smoMaxPasses && iter < smoMaxIterations {
 		changed := 0
 		for i := 0; i < n; i++ {
 			Ei := f(i) - data[i].Y
 			ri := Ei * data[i].Y
-			if (ri < -opts.Tol && alpha[i] < cbound[i]) || (ri > opts.Tol && alpha[i] > 0) {
+			if (ri < -smoTol && alpha[i] < cbound[i]) || (ri > smoTol && alpha[i] > 0) {
 				j := int(rng.next() % uint64(n-1))
 				if j >= i {
 					j++

@@ -182,17 +182,6 @@ func (m *LinearModel) WeightVector() *vector.Sparse {
 type LinearOptions struct {
 	// C is the soft-margin penalty; default 1.
 	C float64
-	// PositiveWeight multiplies C for positive examples to counter class
-	// imbalance; 0 selects the standard #neg/#pos auto-balance. Set to 1
-	// for unweighted training. One-against-all tag models are heavily
-	// imbalanced, so balancing matters.
-	PositiveWeight float64
-	// Epochs bounds dual coordinate descent passes; default 50.
-	Epochs int
-	// Tol is the projected-gradient stopping tolerance; default 1e-3.
-	Tol float64
-	// Dim forces the weight-vector dimensionality; 0 infers it from data.
-	Dim int
 	// Seed drives the permutation order, keeping training deterministic.
 	Seed int64
 }
@@ -201,13 +190,14 @@ func (o *LinearOptions) defaults() {
 	if o.C == 0 {
 		o.C = 1
 	}
-	if o.Epochs == 0 {
-		o.Epochs = 50
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-3
-	}
 }
+
+// Dual coordinate descent stops after linearEpochs passes or once the
+// largest projected gradient falls below linearTol.
+const (
+	linearEpochs = 50
+	linearTol    = 1e-3
+)
 
 // TrainLinear fits a linear L1-loss SVM with dual coordinate descent
 // (Hsieh et al., the algorithm behind LIBLINEAR), the learner PACE
@@ -217,8 +207,7 @@ func TrainLinear(data []Example, opts LinearOptions) (*LinearModel, error) {
 	if err := validate(data); err != nil {
 		return nil, err
 	}
-	dim := opts.Dim
-	pos := 0
+	dim, pos := 0, 0
 	for _, ex := range data {
 		if int(ex.X.MaxIndex())+1 > dim {
 			dim = int(ex.X.MaxIndex()) + 1
@@ -227,10 +216,9 @@ func TrainLinear(data []Example, opts LinearOptions) (*LinearModel, error) {
 			pos++
 		}
 	}
-	posW := opts.PositiveWeight
-	if posW == 0 {
-		posW = float64(len(data)-pos) / float64(pos)
-	}
+	// One-against-all tag models are heavily imbalanced, so positives
+	// get C scaled by the #neg/#pos ratio.
+	posW := float64(len(data)-pos) / float64(pos)
 	// Append a constant feature for the bias via augmentation.
 	w := make([]float64, dim)
 	var bias float64
@@ -247,7 +235,7 @@ func TrainLinear(data []Example, opts LinearOptions) (*LinearModel, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	perm := rng.Perm(len(data))
 
-	for epoch := 0; epoch < opts.Epochs; epoch++ {
+	for epoch := 0; epoch < linearEpochs; epoch++ {
 		maxPG := 0.0
 		// Reshuffle each epoch for faster convergence.
 		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
@@ -283,7 +271,7 @@ func TrainLinear(data []Example, opts LinearOptions) (*LinearModel, error) {
 				bias += d
 			}
 		}
-		if maxPG < opts.Tol {
+		if maxPG < linearTol {
 			break
 		}
 	}

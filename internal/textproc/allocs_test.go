@@ -112,25 +112,30 @@ func TestVectorizeBatchAllocBudget(t *testing.T) {
 	}
 }
 
-// TestTokenizeAllocBudget: Tokenize must cost exactly one slice plus one
-// string per token — no builder or trim churn.
+// TestTokenizeAllocBudget: tokenizing into a warm workspace allocates
+// nothing — no per-token string, builder or trim churn.
 func TestTokenizeAllocBudget(t *testing.T) {
-	warm := Tokenize(allocDoc)
-	budget := float64(len(warm) + 1)
-	got := testing.AllocsPerRun(200, func() { Tokenize(allocDoc) })
-	if got > budget {
-		t.Errorf("Tokenize: %.1f allocs/op for %d tokens, budget %.0f", got, len(warm), budget)
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	ws.tokenize(allocDoc)
+	got := testing.AllocsPerRun(200, func() { ws.tokenize(allocDoc) })
+	if got > 0 {
+		t.Errorf("tokenize: %.1f allocs/op for %d tokens, want 0", got, len(ws.spans))
 	}
 }
 
-// TestTermsAllocBudget: Terms materializes only the surviving stems.
+// TestTermsAllocBudget: filtering and stemming run in place on the
+// workspace, so they allocate nothing either.
 func TestTermsAllocBudget(t *testing.T) {
 	p := NewPreprocessor(nil, Options{})
-	warm := p.Terms(allocDoc)
-	budget := float64(len(warm) + 1)
-	got := testing.AllocsPerRun(200, func() { p.Terms(allocDoc) })
-	if got > budget {
-		t.Errorf("Terms: %.1f allocs/op for %d terms, budget %.0f", got, len(warm), budget)
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	got := testing.AllocsPerRun(200, func() {
+		ws.tokenize(allocDoc)
+		p.terms(ws)
+	})
+	if got > 0 {
+		t.Errorf("terms: %.1f allocs/op for %d terms, want 0", got, len(ws.spans))
 	}
 }
 

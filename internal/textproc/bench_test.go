@@ -11,10 +11,13 @@ var benchDoc = strings.Repeat(
 		"adjusted their cameras and the orchestra's conductor rehearsed a "+
 		"difficult symphony movement before tonight's concert performance ", 4)
 
+// BenchmarkTokenize measures the workspace tokenizer on a warm workspace.
 func BenchmarkTokenize(b *testing.B) {
+	ws := getWorkspace()
+	defer putWorkspace(ws)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Tokenize(benchDoc)
+		ws.tokenize(benchDoc)
 	}
 }
 

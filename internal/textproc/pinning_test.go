@@ -51,20 +51,29 @@ func refTokenize(text string) []string {
 	return tokens
 }
 
+// refStem is the seed string stemmer: the Porter steps on a private copy
+// of a lower-case ASCII word of at least 3 bytes, anything else unchanged.
+func refStem(word string) string {
+	if len(word) < 3 || strings.IndexFunc(word, func(r rune) bool { return r < 'a' || r > 'z' }) >= 0 {
+		return word
+	}
+	return string(stemASCII([]byte(word)))
+}
+
 // refTerms is the seed Terms over refTokenize.
 func refTerms(p *Preprocessor, text string) []string {
 	tokens := refTokenize(text)
 	out := tokens[:0]
 	for _, t := range tokens {
-		if !p.opts.KeepStopWords && p.stop[t] {
+		if p.stop[t] {
 			continue
 		}
 		if p.sensitive[t] {
 			continue
 		}
 		t = strings.ReplaceAll(t, "'", "")
-		s := Stem(t)
-		if len(s) < p.opts.MinWordLen {
+		s := refStem(t)
+		if len(s) < minWordLen {
 			continue
 		}
 		if p.sensitive[s] {
@@ -149,17 +158,15 @@ func pinOptions() []Options {
 		{Weighting: TFIDF, Normalize: false},
 		{Weighting: TermFrequency, Normalize: true, HashDim: 512},
 		{Weighting: TFIDF, Normalize: true, HashDim: 64}, // tiny dim forces collisions
-		{Weighting: TermFrequency, Normalize: true, KeepStopWords: true, MinWordLen: 1},
-		{Weighting: TermFrequency, Normalize: true, MinWordLen: 4},
 	}
 }
 
 func TestTokenizePinnedToReference(t *testing.T) {
 	for _, doc := range pinCorpus {
-		got := Tokenize(doc)
+		got := tokens(doc)
 		want := refTokenize(doc)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("Tokenize(%q) = %q, reference %q", doc, got, want)
+			t.Errorf("tokenize(%q) = %q, reference %q", doc, got, want)
 		}
 	}
 }
@@ -169,10 +176,10 @@ func TestTermsPinnedToReference(t *testing.T) {
 		p := NewPreprocessor(nil, opts)
 		p.AddSensitiveWords("secret", "classified")
 		for _, doc := range pinCorpus {
-			got := p.Terms(doc)
+			got := termsOf(p, doc)
 			want := refTerms(p, doc)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("opts %d: Terms(%q) = %q, reference %q", oi, doc, got, want)
+				t.Errorf("opts %d: terms(%q) = %q, reference %q", oi, doc, got, want)
 			}
 		}
 	}
@@ -221,7 +228,7 @@ func TestVectorizeBatchPinnedToFastPath(t *testing.T) {
 	}
 }
 
-// TestStemBytesMatchesStem: the in-place byte stemmer is the string
+// TestStemBytesMatchesStem: the in-place byte stemmer is the seed string
 // stemmer, including the non-ASCII and short-word bailouts.
 func TestStemBytesMatchesStem(t *testing.T) {
 	words := []string{
@@ -232,8 +239,8 @@ func TestStemBytesMatchesStem(t *testing.T) {
 	for _, w := range words {
 		b := []byte(w)
 		got := string(StemBytes(b))
-		if want := Stem(w); got != want {
-			t.Errorf("StemBytes(%q) = %q, Stem = %q", w, got, want)
+		if want := refStem(w); got != want {
+			t.Errorf("StemBytes(%q) = %q, reference %q", w, got, want)
 		}
 	}
 }
@@ -248,9 +255,6 @@ func TestFeatureIDPinsFNV(t *testing.T) {
 		h := fnv.New32a()
 		h.Write([]byte(term))
 		want := int32(h.Sum32() % 4096)
-		if got := p.featureID(term); got != want {
-			t.Errorf("featureID(%q) = %d, fnv reference %d", term, got, want)
-		}
 		if got := p.featureIDBytes([]byte(term)); got != want {
 			t.Errorf("featureIDBytes(%q) = %d, fnv reference %d", term, got, want)
 		}
@@ -263,21 +267,21 @@ func TestFeatureIDPinsFNV(t *testing.T) {
 		"fox":    846,
 		"guitar": 3855,
 	} {
-		if got := p.featureID(term); got != want {
-			t.Errorf("featureID(%q) = %d, pinned %d", term, got, want)
+		if got := p.featureIDBytes([]byte(term)); got != want {
+			t.Errorf("featureIDBytes(%q) = %d, pinned %d", term, got, want)
 		}
 	}
 }
 
 // TestTokenizeEmptyAndDegenerate keeps the historical nil/empty contracts.
 func TestTokenizeEmptyAndDegenerate(t *testing.T) {
-	if got := Tokenize(""); got != nil {
-		t.Errorf("Tokenize(\"\") = %v, want nil", got)
+	if got := tokens(""); got != nil {
+		t.Errorf("tokenize(\"\") = %v, want nil", got)
 	}
-	if got := Tokenize("42 7 1999"); got != nil {
-		t.Errorf("Tokenize(numbers) = %v, want nil (no letters)", got)
+	if got := tokens("42 7 1999"); got != nil {
+		t.Errorf("tokenize(numbers) = %v, want nil (no letters)", got)
 	}
-	if got := sort.SearchStrings(Tokenize("b a c"), "a"); got != 1 {
+	if got := sort.SearchStrings(tokens("b a c"), "a"); got != 1 {
 		// tokens keep document order, not sorted order
 		_ = got
 	}

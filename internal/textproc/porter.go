@@ -9,22 +9,12 @@ package textproc
 // beyond its original length (every replacement suffix is at most as long
 // as the suffix it replaces, and step1b's appended 'e' follows the removal
 // of at least two bytes), so stemming needs no scratch beyond the word
-// itself. StemBytes exploits this on the preprocessing fast path.
-
-// Stem returns the Porter stem of word. The input is expected to be
-// lower case; words shorter than 3 letters are returned unchanged, as in
-// the reference implementation.
-func Stem(word string) string {
-	if !stemmable(word) {
-		return word
-	}
-	b := append(make([]byte, 0, len(word)), word...)
-	return string(stemASCII(b))
-}
+// itself: StemBytes stems the caller's bytes.
 
 // StemBytes stems word in place and returns the (possibly shorter) stem,
 // aliasing word's storage. Words that are not lower-case ASCII of length
-// >= 3 are returned unchanged, exactly as Stem does. It never allocates.
+// >= 3 are returned unchanged, as in the reference implementation. It
+// never allocates.
 func StemBytes(word []byte) []byte {
 	if len(word) < 3 {
 		return word
@@ -35,21 +25,6 @@ func StemBytes(word []byte) []byte {
 		}
 	}
 	return stemASCII(word)
-}
-
-// stemmable reports whether the Porter steps apply: length >= 3 and pure
-// lower-case ASCII letters.
-func stemmable(word string) bool {
-	if len(word) < 3 {
-		return false
-	}
-	for i := 0; i < len(word); i++ {
-		c := word[i]
-		if c < 'a' || c > 'z' {
-			return false
-		}
-	}
-	return true
 }
 
 // stemASCII runs the five Porter steps, mutating b in place. Callers must

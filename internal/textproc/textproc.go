@@ -97,24 +97,6 @@ func (ws *workspace) flushToken(start int, hasLetter bool) int {
 	return len(ws.arena)
 }
 
-// Tokenize splits raw text into lower-case word tokens; see
-// workspace.tokenize for the exact rules. The returned strings are
-// independent copies, so this costs one allocation per token — the tagging
-// fast path stays on workspace bytes and never materializes them.
-func Tokenize(text string) []string {
-	ws := getWorkspace()
-	defer putWorkspace(ws)
-	ws.tokenize(text)
-	if len(ws.spans) == 0 {
-		return nil
-	}
-	tokens := make([]string, len(ws.spans))
-	for i, sp := range ws.spans {
-		tokens[i] = string(ws.arena[sp.start:sp.end])
-	}
-	return tokens
-}
-
 // Lexicon maps normalized words to stable int32 feature ids. It is safe for
 // concurrent use: tagging peers in the live CLI share one lexicon.
 type Lexicon struct {
@@ -222,11 +204,6 @@ type Options struct {
 	// Normalize scales each document vector to unit L2 norm after
 	// weighting. Recommended (and default) for SVM training.
 	Normalize bool
-	// MinWordLen drops tokens shorter than this many bytes after stemming;
-	// default 2.
-	MinWordLen int
-	// KeepStopWords disables stop-word filtering (used in tests).
-	KeepStopWords bool
 	// HashDim, when positive, switches feature ids from lexicon-assigned
 	// sequential ids to word hashes modulo HashDim ("hashing trick").
 	// Hashed ids are stable across machines with no coordination, which
@@ -254,9 +231,6 @@ func NewPreprocessor(lex *Lexicon, opts Options) *Preprocessor {
 	if lex == nil {
 		lex = NewLexicon()
 	}
-	if opts.MinWordLen == 0 {
-		opts.MinWordLen = 2
-	}
 	return &Preprocessor{
 		opts:      opts,
 		lexicon:   lex,
@@ -280,6 +254,9 @@ func (p *Preprocessor) AddSensitiveWords(words ...string) {
 	}
 }
 
+// minWordLen is the shortest stem, in bytes, that survives filtering.
+const minWordLen = 2
+
 // terms runs the filter-and-stem stage over ws's tokens in place: stop
 // words and sensitive words drop, apostrophes are stripped, and each
 // surviving token is Porter-stemmed inside the arena. ws.spans afterwards
@@ -291,7 +268,7 @@ func (p *Preprocessor) terms(ws *workspace) {
 	for _, sp := range ws.spans {
 		tok := ws.arena[sp.start:sp.end]
 		// string(tok) in a map index does not allocate.
-		if !p.opts.KeepStopWords && p.stop[string(tok)] {
+		if p.stop[string(tok)] {
 			continue
 		}
 		if p.sensitive[string(tok)] {
@@ -307,7 +284,7 @@ func (p *Preprocessor) terms(ws *workspace) {
 			}
 		}
 		s := StemBytes(w)
-		if len(s) < p.opts.MinWordLen {
+		if len(s) < minWordLen {
 			continue
 		}
 		if p.sensitive[string(s)] {
@@ -316,23 +293,6 @@ func (p *Preprocessor) terms(ws *workspace) {
 		out = append(out, span{sp.start, sp.start + len(s)})
 	}
 	ws.spans = out
-}
-
-// Terms tokenizes, filters and stems text, returning the surviving terms in
-// document order.
-func (p *Preprocessor) Terms(text string) []string {
-	ws := getWorkspace()
-	defer putWorkspace(ws)
-	ws.tokenize(text)
-	p.terms(ws)
-	if len(ws.spans) == 0 {
-		return nil
-	}
-	out := make([]string, len(ws.spans))
-	for i, sp := range ws.spans {
-		out[i] = string(ws.arena[sp.start:sp.end])
-	}
-	return out
 }
 
 // Vectorize converts text into a sparse feature vector, assigning new
@@ -528,22 +488,9 @@ const (
 	fnvPrime32  = 16777619
 )
 
-// featureID maps a term to its feature id: hashed when HashDim is set,
-// lexicon-assigned otherwise.
-func (p *Preprocessor) featureID(term string) int32 {
-	if p.opts.HashDim > 0 {
-		h := uint32(fnvOffset32)
-		for i := 0; i < len(term); i++ {
-			h ^= uint32(term[i])
-			h *= fnvPrime32
-		}
-		return int32(h % uint32(p.opts.HashDim))
-	}
-	return p.lexicon.ID(term)
-}
-
-// featureIDBytes is featureID for a term still living in workspace bytes;
-// it allocates only when a lexicon-mode term is new.
+// featureIDBytes maps a term, still living in workspace bytes, to its
+// feature id: hashed when HashDim is set, lexicon-assigned otherwise. It
+// allocates only when a lexicon-mode term is new.
 func (p *Preprocessor) featureIDBytes(term []byte) int32 {
 	if p.opts.HashDim > 0 {
 		h := uint32(fnvOffset32)

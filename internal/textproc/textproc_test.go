@@ -8,6 +8,37 @@ import (
 	"repro/internal/vector"
 )
 
+// tokens runs the workspace tokenizer over text and copies its tokens out.
+func tokens(text string) []string {
+	var ws workspace
+	ws.tokenize(text)
+	return spanStrings(&ws)
+}
+
+// termsOf tokenizes, filters and stems text with p, copying the surviving
+// terms out in document order.
+func termsOf(p *Preprocessor, text string) []string {
+	var ws workspace
+	ws.tokenize(text)
+	p.terms(&ws)
+	return spanStrings(&ws)
+}
+
+// spanStrings copies ws's spans out of its arena; nil when there are none.
+func spanStrings(ws *workspace) []string {
+	if len(ws.spans) == 0 {
+		return nil
+	}
+	out := make([]string, len(ws.spans))
+	for i, sp := range ws.spans {
+		out[i] = string(ws.arena[sp.start:sp.end])
+	}
+	return out
+}
+
+// stem is StemBytes over a private copy of word.
+func stem(word string) string { return string(StemBytes([]byte(word))) }
+
 func TestTokenize(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -21,8 +52,8 @@ func TestTokenize(t *testing.T) {
 		{"C'est déjà vu", []string{"c'est", "déjà", "vu"}},
 	}
 	for _, c := range cases {
-		if got := Tokenize(c.in); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("Tokenize(%q) = %v, want %v", c.in, got, c.want)
+		if got := tokens(c.in); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("tokenize(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }
@@ -46,13 +77,13 @@ func TestTokenizeApostrophes(t *testing.T) {
 		{"o''brien", []string{"o''brien"}},
 	}
 	for _, c := range cases {
-		if got := Tokenize(c.in); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("Tokenize(%q) = %v, want %v", c.in, got, c.want)
+		if got := tokens(c.in); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("tokenize(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
 	// The property the fix restores: a possessive shares its token (and
 	// hence its lexicon id) with the bare word.
-	if a, b := Tokenize("dogs'")[0], Tokenize("dogs")[0]; a != b {
+	if a, b := tokens("dogs'")[0], tokens("dogs")[0]; a != b {
 		t.Errorf("possessive token %q != bare token %q", a, b)
 	}
 }
@@ -137,16 +168,16 @@ func TestStemKnownPairs(t *testing.T) {
 		"roll":           "roll",
 	}
 	for in, want := range cases {
-		if got := Stem(in); got != want {
-			t.Errorf("Stem(%q) = %q, want %q", in, got, want)
+		if got := stem(in); got != want {
+			t.Errorf("StemBytes(%q) = %q, want %q", in, got, want)
 		}
 	}
 }
 
 func TestStemShortAndNonASCII(t *testing.T) {
 	for _, w := range []string{"", "a", "be", "déjà", "c3po"} {
-		if got := Stem(w); got != w {
-			t.Errorf("Stem(%q) = %q, want unchanged", w, got)
+		if got := stem(w); got != w {
+			t.Errorf("StemBytes(%q) = %q, want unchanged", w, got)
 		}
 	}
 }
@@ -158,7 +189,7 @@ func TestStemIdempotentOnCommonWords(t *testing.T) {
 		if len(s) > 50 {
 			s = s[:50]
 		}
-		out := Stem(s)
+		out := stem(s)
 		return len(out) <= len(s)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -216,7 +247,7 @@ func TestLexiconConcurrent(t *testing.T) {
 func TestPreprocessorStopAndSensitive(t *testing.T) {
 	p := NewPreprocessor(nil, Options{})
 	p.AddSensitiveWords("SECRET")
-	terms := p.Terms("The secret plans are not for the running dogs")
+	terms := termsOf(p, "The secret plans are not for the running dogs")
 	for _, term := range terms {
 		if term == "secret" || term == "the" || term == "not" {
 			t.Errorf("filtered term %q survived: %v", term, terms)
