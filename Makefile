@@ -49,7 +49,7 @@ fuzz:
 	go test ./internal/realnet -run Fuzz -count=1
 	go test ./internal/wire -run '^$$' -fuzz 'FuzzReadModelSet' -fuzztime 10s
 
-check: build vet fmt lint race allocs golden
+check: build vet fmt lint race allocs golden fuzz
 
 # Flake hunt over the packages whose tests run on the wall clock: 20 plain
 # runs, then 5 race runs at each of 1, 2 and 4 CPUs. A failure is triaged

@@ -93,9 +93,9 @@
 //     models — identical text means identical tags for as long as one
 //     model generation serves. Cached answers are test-pinned
 //     byte-identical to uncached serial AutoTag.
-//   - Live model refresh (Server.Swap / Server.Refresh): a new identically
-//     trained tagger generation is installed under traffic — new shards
-//     start pulling from the queue, old shards finish their
+//   - Live model refresh (Server.SwapEngines / Server.Refresh): a new
+//     identically trained generation is installed under traffic — new
+//     shards start pulling from the queue, old shards finish their
 //     in-flight batch and exit, the cache flushes so no answer outlives its
 //     models, and no accepted request is dropped. This is how
 //     (*Tagger).Refine reaches live serving: refine a retired (or freshly
@@ -111,26 +111,27 @@
 // # Distributed serving cluster
 //
 // Serving is not tied to Taggers: Engine is the minimal contract the
-// dispatcher needs (AutoTagBatch over texts), NewEngineServer fronts any
-// engines with the same micro-batching/caching/backpressure machinery,
-// and Server.SwapEngines live-swaps a generation of them in — the same
-// drain/flush discipline as Swap, usable in either direction between
-// tagger-backed and generic generations. ServerStats.Issued exposes the
-// serving accounting identity (Issued = Served + CacheHits + Coalesced +
-// Deduped), the invariant cluster tests check per node.
+// dispatcher needs (AutoTagBatch over texts). NewServer is NewEngineServer
+// over taggers, and Server.SwapEngines is the one install path for every
+// generation, tagger-backed or not; Refresh rebuilds a tagger generation
+// through it. Network traffic and Refresh's ErrNotTaggerBacked follow the
+// engines' dynamic type, whichever path installed them. ServerStats.Issued
+// exposes the serving accounting identity (Issued = Served + CacheHits +
+// Coalesced + Deduped), the invariant cluster tests check per node.
 //
 // internal/realnet composes with this into a distributed serving cluster:
 // real TCP peers gossip whole model generations (wire-encoded calibrated
 // model sets, flooded with (sequence, origin) dedup and periodic
 // anti-entropy rebroadcast by the origin), and every node installs an
-// arriving generation through SwapEngines as a realnet.Ensemble — an
-// accuracy-weighted vote over the gossiped per-tag models, deterministic
-// in (corpus, seed), so every node answers byte-identically. The realnet
-// transport is hardened for that role: per-peer retry budgets with
-// seed-derived exponential backoff, dead-peer quarantine with re-probe,
-// per-frame read deadlines, frame corruption and sender-address
-// validation, bounded peer tables, and per-peer counters (sends, retries,
-// failures, frames and bytes in/out) surfaced through Node.Transport().
+// arriving generation through SwapEngines as a realnet.Ensemble — the
+// calibrated probabilities of the gossiped per-tag models whose accuracy
+// is above chance, deterministic in (corpus, seed), so every node answers
+// byte-identically. The realnet transport is hardened for that role:
+// per-peer retry budgets with seed-derived exponential backoff, dead-peer
+// quarantine with re-probe, per-frame read deadlines, frame corruption and
+// sender-address validation, bounded peer tables, and per-peer counters
+// (sends, retries, failures, frames and bytes in/out) surfaced through
+// Node.Transport().
 // PublishGeneration reports per-peer partial failure instead of a single
 // error.
 //
@@ -185,16 +186,16 @@
 //     everything handed to callers is copied out.
 //   - One calibrated bank, fused multi-tag scoring: the baselines, PACE
 //     and the realnet mesh train (TrainBank: one-vs-all SVMs, a per-model
-//     post hook, cross-validated Platt), score (Bank.Probs/Score) and pool
-//     ensembles (Pool: the accuracy-weighted log-odds vote, scaled by
-//     PACE's proximity) through protocol.Bank. A Bank packs its models
+//     post hook, cross-validated Platt) and score (Bank.Probs/Score)
+//     through protocol.Bank; PACE pools many banks (Pool: the
+//     accuracy-weighted log-odds vote, scaled by proximity). A Bank packs its models
 //     into one svm.FusedLinear inverted score matrix (feature id ->
 //     per-tag weights; CSR cells for sparse pruned ensembles and narrow
 //     banks, 8-wide blocked rows for shared-pool banks), Platt and
 //     accuracy in the matrix's tag order, so scoring T tags is one
 //     ascending pass over the document's non-zero entries instead of T dot
 //     products. The matrix is immutable derived data, rebuilt wherever the
-//     bank changes (retraining, Refine, serving Swap/Refresh).
+//     bank changes (retraining, Refine, serving SwapEngines/Refresh).
 //   - Kernel bank: a CEMPaR super-peer packs its per-tag regional
 //     KernelModels into one svm.KernelBank at the end of every cascade.
 //     The tags' models share support-vector pointers, so the bank interns
@@ -235,7 +236,8 @@
 //   - Bit-identity: both layouts accumulate each tag's partial sums over
 //     entries in ascending feature-id order and padding lanes only add
 //     v*0, so both reproduce per-tag Decision exactly; Bank and Pool are
-//     pinned likewise on generated banks.
+//     pinned likewise on generated banks, and realnet.Ensemble against
+//     per-tag Decision then Platt.
 //   - Scratch lifetime: the entries VectorizeInto passes to its visitor
 //     (and the scores PredictEntries hands its callback) live in
 //     pooled scratch, valid only until the visit returns — consume or

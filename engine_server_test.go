@@ -2,6 +2,7 @@ package doctagger
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -34,6 +35,31 @@ func TestNewEngineServerValidation(t *testing.T) {
 	e := &labelEngine{label: "v1"}
 	if _, err := NewEngineServer(ServerConfig{}, e, e); err == nil {
 		t.Error("duplicate engine accepted")
+	}
+	// A nil *Tagger is a non-nil Engine; it is still refused.
+	if _, err := NewEngineServer(ServerConfig{}, (*Tagger)(nil)); err == nil {
+		t.Error("nil *Tagger engine accepted")
+	}
+	untrained, err := New(Config{Peers: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewEngineServer(ServerConfig{}, untrained); err == nil {
+		t.Error("untrained tagger engine accepted")
+	}
+	srv, err := NewEngineServer(ServerConfig{}, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.SwapEngines(untrained); err == nil {
+		t.Error("SwapEngines accepted an untrained tagger")
+	}
+	if err := srv.SwapEngines((*Tagger)(nil)); err == nil {
+		t.Error("SwapEngines accepted a nil *Tagger")
+	}
+	if st := srv.Stats(); st.Generation != 1 {
+		t.Errorf("a refused generation was installed: generation %d", st.Generation)
 	}
 }
 
@@ -115,8 +141,8 @@ func TestEngineServerSwapsGenerations(t *testing.T) {
 
 // TestSwapEnginesFromTaggerGeneration crosses the two worlds: a
 // tagger-backed server swaps to generic engines (retiring the taggers and
-// keeping their swarm traffic in Network) and then back to taggers (Swap
-// accepts them again, and Refresh works once more).
+// keeping their swarm traffic in Network) and then back to taggers, whose
+// traffic counts again and which Refresh can rebuild once more.
 func TestSwapEnginesFromTaggerGeneration(t *testing.T) {
 	tg := buildTrained(t)
 	srv, err := NewServer(ServerConfig{}, tg)
@@ -144,12 +170,12 @@ func TestSwapEnginesFromTaggerGeneration(t *testing.T) {
 		t.Errorf("after SwapEngines, answered %v, want [gen2]", tags)
 	}
 	// The retired tagger generation's traffic survives the transition.
-	if got := srv.Stats().Network; got.Messages < served.Messages {
-		t.Errorf("Network lost retired traffic: %+v < %+v", got, served)
+	if got := srv.Stats().Network; got != served {
+		t.Errorf("Network across a generic generation = %+v, want %+v", got, served)
 	}
 
 	// Back to taggers: the previously retired tagger is reusable.
-	if _, err := srv.Swap(tg); err != nil {
+	if err := srv.SwapEngines(tg); err != nil {
 		t.Fatal(err)
 	}
 	want, err := tg.AutoTag(servingQueries[1])
@@ -163,7 +189,40 @@ func TestSwapEnginesFromTaggerGeneration(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("after swapping taggers back: %v, want %v", got, want)
 	}
+	if net := srv.Stats().Network; net.Messages <= served.Messages {
+		t.Errorf("restored tagger generation's traffic not counted: %+v after %+v", net, served)
+	}
 	if _, err := srv.Refresh(func(int) (*Tagger, error) { return buildTrained(t), nil }); err != nil {
 		t.Errorf("Refresh on restored tagger generation: %v", err)
+	}
+}
+
+// TestTaggerGenerationThroughSwapEngines: however a tagger generation was
+// installed, its traffic counts toward Network and Refresh can rebuild
+// it — here on a server that began with a generic engine generation.
+func TestTaggerGenerationThroughSwapEngines(t *testing.T) {
+	srv, err := NewEngineServer(ServerConfig{}, &labelEngine{label: "gen1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if _, err := srv.Refresh(func(int) (*Tagger, error) { return buildTrained(t), nil }); !errors.Is(err, ErrNotTaggerBacked) {
+		t.Errorf("Refresh over a generic generation = %v, want ErrNotTaggerBacked", err)
+	}
+	if err := srv.SwapEngines(buildTrained(t)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Tag(context.Background(), servingQueries[0]); err != nil {
+		t.Fatal(err)
+	}
+	if net := srv.Stats().Network; net.Messages == 0 || net.Bytes == 0 {
+		t.Errorf("served tagger generation reported no swarm traffic: %+v", net)
+	}
+	gen, err := srv.Refresh(func(int) (*Tagger, error) { return buildTrained(t), nil })
+	if err != nil {
+		t.Fatalf("Refresh over a tagger generation installed by SwapEngines: %v", err)
+	}
+	if gen != 3 {
+		t.Errorf("Refresh installed generation %d, want 3", gen)
 	}
 }

@@ -146,10 +146,8 @@ type Pool struct {
 // Add lets every model of b vote on the document with weight
 // (accuracy - 0.5) * scale; models no better than chance are excluded.
 // scale is the caller's say — PACE passes its proximity to the model's
-// training data; realnet.Ensemble passes 1, since trust weights no vote.
-// Exactly 1.0 is bit-invisible (x*1.0 == x for every finite x), <= 0
-// excludes the bank. The per-tag
-// sums accumulate in Add order, so it must be deterministic.
+// training data — and <= 0 excludes the bank. The per-tag sums accumulate
+// in Add order, so it must be deterministic.
 func (p *Pool) Add(b *Bank, entries []vector.Entry, scale float64) {
 	if scale <= 0 {
 		return

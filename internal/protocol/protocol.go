@@ -1,10 +1,11 @@
 // Package protocol defines the pluggable P2P classification interface of
 // P2PDocTagger ("the P2P classification algorithm in P2PDocTagger is a
 // pluggable component") together with what its implementations share:
-// the calibrated one-against-all linear bank (Bank, TrainBank) and the
-// ensemble vote over such banks (Pool) that PACE, the centralized/local
-// baselines and the realnet mesh all train, score and pool with, and the
-// tag-selection and multi-label → binary helpers CEMPaR uses too.
+// the calibrated one-against-all linear bank (Bank, TrainBank) that PACE,
+// the centralized/local baselines and the realnet mesh all train and
+// score with, PACE's proximity-weighted ensemble vote over such banks
+// (Pool), and the tag-selection and multi-label → binary helpers CEMPaR
+// uses too.
 package protocol
 
 import (

@@ -11,13 +11,14 @@ import (
 	"repro/internal/vector"
 )
 
-// Ensemble scores documents against one model set with protocol.Pool's
-// accuracy-weighted log-odds vote, packaged as a batch classification
-// engine for internal/serving: AutoTagBatch answers one tag list per input
-// text in input order. This is how a gossiped model generation becomes a
-// serving shard — the cmd/p2pserve cluster installs one Ensemble per
-// shard, all over the generation's immutable set, through the serving
-// Swap path.
+// Ensemble scores documents against one model set, packaged as a batch
+// classification engine for internal/serving: AutoTagBatch answers one
+// tag list per input text in input order. A tag votes with its calibrated
+// probability (Bank.Probs) when its cross-validated accuracy is above
+// 0.5; a tag no better than chance is left out. This is how a gossiped
+// model generation becomes a serving shard — the cmd/p2pserve cluster
+// installs one Ensemble per shard, all over the generation's immutable
+// set, through the serving Swap path.
 //
 // An Ensemble is NOT safe for concurrent use (it reuses per-instance
 // scratch); this matches the serving Engine contract, where each shard is
@@ -26,9 +27,11 @@ import (
 type Ensemble struct {
 	pre       *textproc.Preprocessor
 	set       *ModelSet
+	voters    []int // indexes into set.Tags() of the tags that vote
 	threshold float64
 	maxTags   int
-	vote      protocol.Pool       // ensemble vote, reused across documents
+	probs     []float64           // Bank.Probs scratch, reused across documents
+	scored    []metrics.ScoredTag // the voters' scores, reused across documents
 	sel       []metrics.ScoredTag // SelectTagsInto sort scratch, reused across documents
 }
 
@@ -46,18 +49,31 @@ func NewEnsemble(threshold float64, maxTags int, set *ModelSet) (*Ensemble, erro
 	if maxTags < 0 {
 		return nil, errors.New("realnet: negative ensemble maxTags")
 	}
+	var voters []int
+	for i, tag := range set.Tags() {
+		if set.Accuracy[tag] > 0.5 {
+			voters = append(voters, i)
+		}
+	}
 	return &Ensemble{
 		pre:       newHashedPreprocessor(),
 		set:       set,
+		voters:    voters,
 		threshold: threshold,
 		maxTags:   maxTags,
 	}, nil
 }
 
-// scores is the set's vote on one document.
+// scores is the voters' calibrated probabilities for one document, in
+// ascending tag order, in the Ensemble's reused scratch.
 func (e *Ensemble) scores(entries []vector.Entry) []metrics.ScoredTag {
-	e.vote.Add(e.set, entries, 1)
-	return e.vote.Scores()
+	e.probs = e.set.Probs(entries, e.probs)
+	tags := e.set.Tags()
+	e.scored = e.scored[:0]
+	for _, i := range e.voters {
+		e.scored = append(e.scored, metrics.ScoredTag{Tag: tags[i], Score: e.probs[i]})
+	}
+	return e.scored
 }
 
 // Suggest returns the full suggestion cloud for one document, sorted by
@@ -67,7 +83,7 @@ func (e *Ensemble) scores(entries []vector.Entry) []metrics.ScoredTag {
 func (e *Ensemble) Suggest(text string) []metrics.ScoredTag {
 	var out []metrics.ScoredTag
 	e.pre.VectorizeInto(text, func(entries []vector.Entry) {
-		out = e.scores(entries)
+		out = slices.Clone(e.scores(entries))
 		slices.SortFunc(out, protocol.ByScore)
 	})
 	return out

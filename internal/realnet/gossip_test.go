@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/protocol"
 )
 
@@ -278,10 +279,25 @@ func TestGenerationEncodingRoundTrip(t *testing.T) {
 	}
 }
 
+// ensembleReference is what an Ensemble must answer, computed the slow
+// way: a materialized vector in the shared hashed feature space, then per
+// tag LinearModel.Decision and PlattParams.Prob, dropping tags whose
+// accuracy is not above chance, sorted by score.
+func ensembleReference(set *ModelSet, text string) []metrics.ScoredTag {
+	x := newHashedPreprocessor().Vectorize(text)
+	var out []metrics.ScoredTag
+	for tag, m := range set.Models {
+		if set.Accuracy[tag] > 0.5 {
+			out = append(out, metrics.ScoredTag{Tag: tag, Score: set.Platt[tag].Prob(m.Decision(x))})
+		}
+	}
+	slices.SortFunc(out, protocol.ByScore)
+	return out
+}
+
 // TestEnsembleMatchesReferenceVote pins what a serving shard answers: an
-// Ensemble over a set returns exactly the suggestion cloud of the
-// reference pipeline — a materialized vector in the shared hashed feature
-// space, one full-weight protocol.Pool vote, sorted by score.
+// Ensemble over a set returns exactly ensembleReference's suggestion
+// cloud, bit for bit.
 func TestEnsembleMatchesReferenceVote(t *testing.T) {
 	set, err := TrainModelSet(trainingTexts(0), 1, 1)
 	if err != nil {
@@ -296,12 +312,8 @@ func TestEnsembleMatchesReferenceVote(t *testing.T) {
 		"flight hotel passport beach island",
 		"piano concert symphony album",
 	}
-	pre := newHashedPreprocessor()
 	for _, text := range texts {
-		var vote protocol.Pool
-		vote.Add(set, pre.Vectorize(text).Entries(), 1)
-		want := vote.Scores()
-		slices.SortFunc(want, protocol.ByScore)
+		want := ensembleReference(set, text)
 		if got := e.Suggest(text); len(want) == 0 || !reflect.DeepEqual(want, got) {
 			t.Errorf("Suggest(%q): ensemble %v, reference %v", text, got, want)
 		}
@@ -332,6 +344,45 @@ func TestEnsembleMatchesReferenceVote(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestEnsembleDropsChanceTags: a tag whose cross-validated accuracy is
+// not above 0.5 casts no vote, so neither Suggest nor AutoTagBatch ever
+// names it — not even as the fallback best tag.
+func TestEnsembleDropsChanceTags(t *testing.T) {
+	set, err := TrainModelSet(trainingTexts(0), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const text, tag = "flight hotel passport beach island", "travel"
+	full, err := NewEnsemble(0.5, 4, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, _ := full.AutoTagBatch([]string{text}); !slices.Contains(rows[0], tag) {
+		t.Fatalf("AutoTagBatch(%q) = %v without %q on the full set; the case tests nothing", text, rows[0], tag)
+	}
+	for _, acc := range []float64{0.5, 0.2} {
+		chance := clone(set)
+		chance.Accuracy[tag] = acc
+		e, err := NewEnsemble(0.5, 4, chance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := e.Suggest(text)
+		if want := ensembleReference(chance, text); len(want) == 0 || !reflect.DeepEqual(want, got) {
+			t.Errorf("accuracy %v: Suggest = %v, reference %v", acc, got, want)
+		}
+		for _, st := range got {
+			if st.Tag == tag {
+				t.Errorf("accuracy %v: Suggest named %q: %v", acc, tag, got)
+			}
+		}
+		rows, err := e.AutoTagBatch([]string{text})
+		if err != nil || len(rows) != 1 || len(rows[0]) == 0 || slices.Contains(rows[0], tag) {
+			t.Errorf("accuracy %v: AutoTagBatch = %v, %v; want a non-empty answer without %q", acc, rows, err, tag)
+		}
+	}
 }
 
 // TestEnsembleValidation pins constructor errors.

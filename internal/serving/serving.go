@@ -202,6 +202,7 @@ type request struct {
 // close stop, serialized by swapMu.
 type generation struct {
 	id      int64
+	engines []Engine
 	stop    chan struct{}
 	workers sync.WaitGroup
 }
@@ -251,12 +252,13 @@ type counters struct {
 }
 
 // New starts a Server over the given engine pool, one goroutine per
-// engine. The engines must be distinct instances; when callers
-// need shard answers to be interchangeable (they usually do), the engines
-// must also be identically trained.
+// engine. At least one engine is required, and the engines must be
+// non-nil, distinct instances; when callers need shard answers to be
+// interchangeable (they usually do), the engines must also be identically
+// trained.
 func New(cfg Config, engines ...Engine) (*Server, error) {
-	if len(engines) == 0 {
-		return nil, errors.New("serving: need at least one engine")
+	if err := checkEngines(engines, nil); err != nil {
+		return nil, err
 	}
 	if err := cfg.defaults(); err != nil {
 		return nil, err
@@ -275,10 +277,30 @@ func New(cfg Config, engines ...Engine) (*Server, error) {
 	return s, nil
 }
 
+// checkEngines enforces the engine-generation rules: non-empty, non-nil,
+// distinct, and — against live, the serving generation (nil at New) — not
+// still serving, since each engine is driven by one goroutine.
+func checkEngines(engines []Engine, live *generation) error {
+	if len(engines) == 0 {
+		return errors.New("serving: need at least one engine")
+	}
+	for i, e := range engines {
+		switch {
+		case e == nil:
+			return fmt.Errorf("serving: engine %d is nil", i)
+		case slices.Contains(engines[:i], e):
+			return fmt.Errorf("serving: engine %d repeats an earlier engine", i)
+		case live != nil && slices.Contains(live.engines, e):
+			return fmt.Errorf("serving: engine %d is still serving", i)
+		}
+	}
+	return nil
+}
+
 // newGeneration starts one shard goroutine per engine; they serve from the
 // shared queue until the generation's stop channel closes.
 func (s *Server) newGeneration(id int64, engines []Engine) *generation {
-	g := &generation{id: id, stop: make(chan struct{})}
+	g := &generation{id: id, engines: slices.Clone(engines), stop: make(chan struct{})}
 	g.workers.Add(len(engines))
 	for _, e := range engines {
 		go s.serve(g, e)
@@ -581,15 +603,16 @@ func (s *Server) TagBatch(ctx context.Context, texts []string) ([][]string, erro
 // fully drained, so its engines are safe to reuse (e.g. to refine offline
 // and swap back in later).
 //
-// The new engines must answer interchangeably with each other; whether
-// they must also match the retired generation is the caller's consistency
-// contract, not the server's.
+// The new engines follow New's rules and must not still be serving. They
+// must answer interchangeably with each other; whether they must also
+// match the retired generation is the caller's consistency contract, not
+// the server's.
 func (s *Server) Swap(engines ...Engine) error {
-	if len(engines) == 0 {
-		return errors.New("serving: Swap needs at least one engine")
-	}
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
+	if err := checkEngines(engines, s.cur); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

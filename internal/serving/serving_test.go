@@ -29,6 +29,9 @@ type fakeEngine struct {
 
 func (f *fakeEngine) AutoTagBatch(texts []string) ([][]string, error) {
 	if f.delay > 0 {
+		// Simulated engine work. Every assertion over a delayed engine
+		// needs it at least this slow, never at most, so a late wake-up
+		// cannot fail one.
 		time.Sleep(f.delay)
 	}
 	f.mu.Lock()
@@ -69,6 +72,52 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{}); err == nil {
 		t.Error("New with no engines accepted")
+	}
+	if _, err := New(Config{}, nil); err == nil {
+		t.Error("New with a nil engine accepted")
+	}
+	e := &fakeEngine{}
+	if _, err := New(Config{}, e, e); err == nil {
+		t.Error("New with a duplicate engine accepted")
+	}
+}
+
+// TestSwapValidation: Swap refuses an empty, nil, duplicate or
+// still-serving engine generation and leaves the live one serving.
+func TestSwapValidation(t *testing.T) {
+	live := &fakeEngine{prefix: "g1:"}
+	s, err := New(Config{}, live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fresh := &fakeEngine{prefix: "g2:"}
+	for _, c := range []struct {
+		name string
+		gen  []Engine
+	}{
+		{"empty", nil},
+		{"nil", []Engine{fresh, nil}},
+		{"duplicate", []Engine{fresh, fresh}},
+		{"still serving", []Engine{fresh, live}},
+		{"live", []Engine{live}},
+	} {
+		if err := s.Swap(c.gen...); err == nil {
+			t.Errorf("Swap accepted the %s generation", c.name)
+		}
+	}
+	if tags, err := s.Tag(context.Background(), "doc"); err != nil || tags[0] != "g1:doc" {
+		t.Errorf("after refused swaps, answer = %v, %v; want the live generation's", tags, err)
+	}
+	if st := s.Stats(); st.Generation != 1 {
+		t.Errorf("generation = %d after refused swaps, want 1", st.Generation)
+	}
+	// The retired engine may return once it no longer serves.
+	if err := s.Swap(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Swap(live); err != nil {
+		t.Errorf("swapping a retired engine back in: %v", err)
 	}
 }
 
@@ -270,6 +319,7 @@ func TestCloseDrains(t *testing.T) {
 		}(i)
 	}
 	// Let most submissions land in the queue, then close underneath them.
+	// The drain checks below hold for any split of landed and refused.
 	time.Sleep(time.Millisecond)
 	s.Close()
 	wg.Wait()
@@ -582,6 +632,7 @@ func TestSwapUnderLoad(t *testing.T) {
 		}(c)
 	}
 	for _, prefix := range []string{"g2:", "g3:"} {
+		// Lets traffic build between swaps; the checks hold for any length.
 		time.Sleep(5 * time.Millisecond)
 		next := []Engine{&fakeEngine{prefix: prefix, delay: time.Millisecond}, &fakeEngine{prefix: prefix, delay: time.Millisecond}}
 		if err := s.Swap(next...); err != nil {

@@ -57,7 +57,7 @@ func waitStats(t *testing.T, s *Server, what string, cond func(Stats) bool) {
 		if cond(s.Stats()) {
 			return
 		}
-		time.Sleep(time.Millisecond)
+		time.Sleep(time.Millisecond) // poll interval; only the deadline can fail the wait
 	}
 	t.Fatalf("timed out waiting for %s; stats %+v", what, s.Stats())
 }
