@@ -35,7 +35,7 @@ fmt:
 	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l reports:"; echo "$$out"; exit 1; }
 
 # dmtvet: the repo's custom determinism/safety analyzers (internal/lint),
-# a required CI step. Run it the same way CI does (about a second).
+# a required CI step that calls this target (about five seconds).
 lint:
 	go run ./cmd/dmtvet ./...
 

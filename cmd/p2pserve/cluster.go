@@ -108,8 +108,7 @@ func (a *app) closeMesh() {
 func (a *app) installGeneration(gen realnet.Generation) error {
 	a.genMu.Lock()
 	defer a.genMu.Unlock()
-	if last := a.lastGen; last != nil &&
-		(gen.Seq < last.Seq || (gen.Seq == last.Seq && gen.Origin <= last.Origin)) {
+	if !gen.NewerThan(a.lastGen) {
 		return nil
 	}
 	engines := make([]doctagger.Engine, a.o.shards)

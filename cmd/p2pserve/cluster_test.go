@@ -331,7 +331,8 @@ func TestClusterChaos(t *testing.T) {
 }
 
 // TestRefreshAfterGossipConflicts pins /v1/refresh on a node that serves a
-// gossiped generation: the pool is no longer tagger-backed, so there is
+// gossiped generation, after stale re-installs of that generation are
+// skipped: the pool is no longer tagger-backed, so there is
 // nothing to retrain — a conflict with the node's state (409), not a
 // server fault (regression: it answered 500). The refused refresh leaves
 // the pool serving the gossiped generation with its accounting intact.
@@ -358,6 +359,24 @@ func TestRefreshAfterGossipConflicts(t *testing.T) {
 	waitFor(t, "receiver installed the gossiped generation", func() bool { return nb.installedSeq() == 1 })
 
 	before := nb.a.pool.Stats().Generation
+	// A stale install — the same generation delivered again, an older one
+	// arriving late, or an equal sequence from a lower origin — is skipped
+	// without an error and without a swap.
+	nb.a.genMu.Lock()
+	cur := *nb.a.lastGen
+	nb.a.genMu.Unlock()
+	for _, stale := range []realnet.Generation{
+		cur,
+		{Seq: cur.Seq - 1, Origin: cur.Origin, Set: cur.Set},
+		{Seq: cur.Seq, Origin: "", Set: cur.Set},
+	} {
+		if err := nb.a.installGeneration(stale); err != nil {
+			t.Fatalf("stale install (%d, %q): %v", stale.Seq, stale.Origin, err)
+		}
+		if got := nb.a.pool.Stats().Generation; got != before {
+			t.Errorf("stale install (%d, %q) moved the pool from generation %d to %d", stale.Seq, stale.Origin, before, got)
+		}
+	}
 	refresh := postJSON(t, nb.ts.URL+"/v1/refresh", map[string]any{})
 	refresh.Body.Close()
 	if refresh.StatusCode != http.StatusConflict {

@@ -266,14 +266,6 @@
 //   - scratchescape: pooled scratch workspaces must not escape the
 //     borrowing call (the preprocessing contract above), even through a
 //     helper that returns or retains its parameter.
-//   - enginerules: node event handlers must not call serial-point engine
-//     APIs (AddNode/RemoveNode/Kill/Revive/ScheduleSystem) or the setup
-//     stream Rand — the engine discipline, previously a runtime panic, as a
-//     compile-time diagnostic.
-//   - fusedmut: svm.FusedLinear and svm.KernelBank are immutable outside
-//     their constructors (the rebuild-on-swap contract above), even when
-//     their backing memory is handed to a helper that mutates its
-//     parameter.
 //   - lockdiscipline: no blocking operation (channel op, select,
 //     WaitGroup.Wait, sleep, network/file I/O — directly or through a
 //     callee whose summary blocks) while a mutex is held, no lock-order
@@ -286,8 +278,15 @@
 //   - waiverstale: a waiver comment that no longer suppresses anything is
 //     itself a diagnostic, so suppressions stay honest.
 //
-// Run `go run ./cmd/dmtvet ./...` (or `make lint`) locally — identical to
-// CI (-json serves machine consumers, -run narrows the analyzer set).
+// Two contracts have no analyzer because a test already catches every
+// violation: the simulator engine rules (simnet's serialOnly guard panics
+// when a node event handler calls AddNode, RemoveNode, Kill, Revive,
+// ScheduleSystem or the setup stream Rand) and the immutability of
+// svm.FusedLinear and svm.KernelBank (unexported fields, scored from
+// several goroutines under go test -race).
+//
+// Run `make lint` (go run ./cmd/dmtvet ./...) locally — identical to CI;
+// dmtvet has no flags and always runs the whole suite.
 // Surgical exceptions use a mandatory-reason waiver comment on or directly above
 // the offending line:
 //

@@ -86,14 +86,16 @@ type peerState struct {
 	// Super-peer role: latest model set received from each peer.
 	collected map[simnet.NodeID]*modelsMsg
 	// Regional cascaded models per tag, and the same models packed for
-	// serving: bank scores every tag in one pass over a query, and platt
-	// (calibration fitted on the pooled support examples), weight (pooled
-	// example counts) and vote (what an answer carries: weight under
-	// cfg.Weighted, else all ones) are indexed like bank.Tags(). cascade
-	// replaces all of them together and never patches one in place, so an
-	// answer in flight keeps the slices it was built from.
+	// serving: bank scores every tag in one pass over a query, in the
+	// sorted order of tags, and platt (calibration fitted on the pooled
+	// support examples), weight (pooled example counts) and vote (what an
+	// answer carries: weight under cfg.Weighted, else all ones) are
+	// indexed the same way. cascade replaces all of them together and
+	// never patches one in place, so an answer in flight keeps the slices
+	// it was built from.
 	regional map[string]*svm.KernelModel
 	bank     *svm.KernelBank
+	tags     []string
 	platt    []svm.PlattParams
 	weight   []float64
 	vote     []float64
@@ -127,7 +129,7 @@ type queryMsg struct {
 }
 
 // answerMsg is one super-peer's vote. tags and weight are the answering
-// bank's shared, read-only slices; scores is the message's own.
+// super-peer's shared, read-only slices; scores is the message's own.
 type answerMsg struct {
 	req    uint64
 	tags   []string
@@ -423,14 +425,15 @@ func (s *System) cascade(self simnet.NodeID) {
 	})
 	// This is the one place regional models are installed, so every
 	// retrain, Refine and re-cascade rebuilds the bank. tags is sorted, so
-	// appending in its order lines the slices up with bank.Tags().
+	// appending in its order lines the slices up with the bank's decisions.
 	p.regional = make(map[string]*svm.KernelModel, len(tags))
-	p.platt, p.weight = nil, nil
+	p.tags, p.platt, p.weight = nil, nil, nil
 	for i, tag := range tags {
 		if merged[i].model == nil {
 			continue
 		}
 		p.regional[tag] = merged[i].model
+		p.tags = append(p.tags, tag)
 		p.platt = append(p.platt, merged[i].platt)
 		p.weight = append(p.weight, merged[i].weight)
 	}
@@ -534,7 +537,7 @@ func (s *System) onQuery(self simnet.NodeID, q queryMsg) {
 	}
 	s.net.Send(simnet.Message{
 		From: self, To: q.origin, Kind: "cempar.answer", Size: 16 + 20*len(scores),
-		Payload: answerMsg{req: q.req, tags: p.bank.Tags(), scores: scores, weight: p.vote},
+		Payload: answerMsg{req: q.req, tags: p.tags, scores: scores, weight: p.vote},
 	})
 }
 

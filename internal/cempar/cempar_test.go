@@ -351,7 +351,7 @@ func checkAnswer(t *testing.T, s *System, weighted bool, m simnet.Message, x *ve
 		if !ok {
 			t.Fatalf("super-peer %d answered tag %q it has no regional model for", m.From, tag)
 		}
-		j := sort.SearchStrings(p.bank.Tags(), tag)
+		j := sort.SearchStrings(p.tags, tag)
 		weight := p.weight[j]
 		if want := p.platt[j].Prob(model.Decision(x)); math.Float64bits(a.scores[i]) != math.Float64bits(want) {
 			t.Errorf("super-peer %d tag %q: answered %v, reference %v", m.From, tag, a.scores[i], want)
@@ -428,8 +428,8 @@ func TestBankRebuiltAfterRefine(t *testing.T) {
 			want = append(want, tag)
 		}
 		sort.Strings(want)
-		if got := p.bank.Tags(); !slices.Equal(got, want) {
-			t.Fatalf("peer %d: bank tags %v, regional models %v", id, got, want)
+		if !slices.Equal(p.tags, want) || p.bank.NumTags() != len(want) {
+			t.Fatalf("peer %d: answer tags %v, bank of %d tags, regional models %v", id, p.tags, p.bank.NumTags(), want)
 		}
 	}
 	if !answersQuantum() {

@@ -344,15 +344,6 @@ func SplitTrainTest(docs []Document, trainFrac float64, seed int64) (train, test
 	return train, test
 }
 
-// TagIndex returns tag -> position in the corpus tag universe.
-func (c *Corpus) TagIndex() map[string]int {
-	m := make(map[string]int, len(c.Tags))
-	for i, t := range c.Tags {
-		m[t] = i
-	}
-	return m
-}
-
 // ByUser groups documents by owning user id.
 func ByUser(docs []Document) map[int][]Document {
 	m := make(map[int][]Document)

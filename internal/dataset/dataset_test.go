@@ -26,14 +26,17 @@ func TestGenerateShape(t *testing.T) {
 	if len(c.Docs) < 50 || len(c.Docs) > 100 {
 		t.Fatalf("docs = %d, want 50..100", len(c.Docs))
 	}
-	tagIdx := c.TagIndex()
+	known := make(map[string]bool, len(c.Tags))
+	for _, tag := range c.Tags {
+		known[tag] = true
+	}
 	for _, d := range c.Docs {
 		if len(d.Tags) < 1 || len(d.Tags) > 4 {
 			t.Errorf("doc %d has %d tags", d.ID, len(d.Tags))
 		}
 		seen := map[string]bool{}
 		for _, tag := range d.Tags {
-			if _, ok := tagIdx[tag]; !ok {
+			if !known[tag] {
 				t.Errorf("doc %d has unknown tag %q", d.ID, tag)
 			}
 			if seen[tag] {

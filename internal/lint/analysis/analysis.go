@@ -30,7 +30,7 @@ type Analyzer struct {
 	// //dmtvet:allow waiver comments. It must be a single word.
 	Name string
 
-	// Doc is the one-paragraph description shown by `dmtvet -list`.
+	// Doc is the one-paragraph description of the rule it enforces.
 	Doc string
 
 	// Run applies the analyzer to one package. The returned value is

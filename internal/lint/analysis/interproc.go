@@ -30,10 +30,6 @@ const (
 	// into a package-level variable, sent on a channel, stashed into
 	// another parameter's object, or handed to an opaque function value.
 	ParamEscapes
-
-	// ParamMutated: the function may write through the parameter — into
-	// the pointee, an element of the slice/map, or a field.
-	ParamMutated
 )
 
 // maxTrackedParams bounds the per-parameter alias bitmasks.
@@ -585,10 +581,6 @@ func (s *summaryScan) escape(m uint32) {
 	s.mark(m, ParamEscapes)
 }
 
-func (s *summaryScan) mutate(m uint32) {
-	s.mark(m, ParamMutated)
-}
-
 func (s *summaryScan) mark(m uint32, f ParamFacts) {
 	for i := range s.sum.Params {
 		if m&(1<<uint(i)) != 0 {
@@ -652,14 +644,12 @@ func (s *summaryScan) scan(root ast.Node, syncCtx bool) {
 			}
 		case *ast.AssignStmt:
 			s.assign(n)
-		case *ast.IncDecStmt:
-			s.storeThrough(n.X, 0)
 		}
 		return true
 	})
 }
 
-// assign records parameter mutation/escape facts for one assignment.
+// assign records parameter escape facts for one assignment.
 func (s *summaryScan) assign(n *ast.AssignStmt) {
 	for i, lhs := range n.Lhs {
 		var rhs ast.Expr
@@ -678,16 +668,16 @@ func (s *summaryScan) assign(n *ast.AssignStmt) {
 }
 
 // storeThrough handles a write to lvalue lhs of a value aliasing params m:
-// writing through a parameter is a mutation; storing an aliasing value
-// into a package-level variable or another parameter's memory publishes it.
+// storing it into a package-level variable or another parameter's memory
+// publishes it.
 func (s *summaryScan) storeThrough(lhs ast.Expr, m uint32) {
-	lhs = ast.Unparen(lhs)
-	switch l := lhs.(type) {
+	if m == 0 {
+		return
+	}
+	switch l := ast.Unparen(lhs).(type) {
 	case *ast.Ident:
-		if m != 0 {
-			if obj := s.obj(l); obj != nil && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
-				s.escape(m)
-			}
+		if obj := s.obj(l); obj != nil && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
+			s.escape(m)
 		}
 	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
 		var base ast.Expr
@@ -699,18 +689,14 @@ func (s *summaryScan) storeThrough(lhs ast.Expr, m uint32) {
 		case *ast.StarExpr:
 			base = l.X
 		}
-		bm := s.aliasMask(base)
-		s.mutate(bm)
-		if m != 0 {
-			if root := localRootIdent(base); root != nil {
-				if obj := s.obj(root); obj != nil && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
-					s.escape(m) // stored into a package-level object
-					return
-				}
+		if root := localRootIdent(base); root != nil {
+			if obj := s.obj(root); obj != nil && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
+				s.escape(m) // stored into a package-level object
+				return
 			}
-			if bm != 0 && bm != m {
-				s.escape(m) // stored into another parameter's memory
-			}
+		}
+		if bm := s.aliasMask(base); bm != 0 && bm != m {
+			s.escape(m) // stored into another parameter's memory
 		}
 	}
 }
@@ -805,15 +791,8 @@ func (s *summaryScan) call(call *ast.CallExpr, syncCtx bool) {
 			if pi >= len(sum.Params) {
 				continue
 			}
-			m := s.aliasMask(arg)
-			if m == 0 {
-				continue
-			}
 			if sum.Params[pi]&ParamEscapes != 0 {
-				s.escape(m)
-			}
-			if sum.Params[pi]&ParamMutated != 0 {
-				s.mutate(m)
+				s.escape(s.aliasMask(arg))
 			}
 		}
 		return

@@ -18,8 +18,7 @@ import (
 )
 
 type box struct {
-	mu   sync.Mutex
-	data []byte
+	mu sync.Mutex
 }
 
 func readClock() time.Time { return time.Now() }
@@ -52,8 +51,6 @@ func flows(b []byte) []byte { return b }
 var sink []byte
 
 func escapes(b []byte) { sink = b }
-
-func mutates(b *box) { b.data = nil }
 
 func locksBox(b *box) {
 	b.mu.Lock()
@@ -140,9 +137,6 @@ func TestSummaryTransitiveFacts(t *testing.T) {
 		{"escapes", func(s Summary) bool {
 			return len(s.Params) == 1 && s.Params[0]&ParamEscapes != 0
 		}, "param 0 escapes"},
-		{"mutates", func(s Summary) bool {
-			return len(s.Params) == 1 && s.Params[0]&ParamMutated != 0
-		}, "param 0 mutated"},
 		{"locksBox", func(s Summary) bool {
 			return len(s.Locks) == 1 && s.Locks[0] == "fixture/waiver.box.mu"
 		}, "lock class fixture/waiver.box.mu"},

@@ -15,33 +15,19 @@ import (
 // which silences diagnostics from <analyzer> on the comment's own line and
 // on the line directly below it (so the waiver can ride at the end of the
 // offending line or on its own line above). The reason is mandatory: a
-// waiver without one — or naming an unknown analyzer — is itself reported
-// as a diagnostic, so suppressions stay auditable. A well-formed waiver
-// that suppresses nothing is reported too when the waiverstale audit is in
-// the run set.
+// waiver without one — or naming an analyzer not in the run set — is
+// itself reported as a diagnostic, so suppressions stay auditable. A
+// well-formed waiver that suppresses nothing is reported too when the
+// waiverstale audit is in the run set.
 const WaiverPrefix = "//dmtvet:allow"
 
 // driverName attributes diagnostics produced by the runner itself
 // (malformed waivers) rather than by an analyzer.
 const driverName = "dmtvet"
 
-// extraKnown holds analyzer names waiver comments may legally reference
-// beyond the current run set, so `dmtvet -run detrand` does not flag a
-// scratchescape waiver as "unknown analyzer". The lint package registers
-// its full registry at init.
-var extraKnown = map[string]bool{}
-
-// RegisterWaiverNames marks names as legal in //dmtvet:allow comments
-// even when the named analyzer is not in the run set.
-func RegisterWaiverNames(names ...string) {
-	for _, n := range names {
-		extraKnown[n] = true
-	}
-}
-
 // ResultDiagnostic is one finding attributed to its analyzer, at a
-// resolved position. Waived findings are retained (with Waived set) so
-// machine consumers can see them; the text printers skip them.
+// resolved position. Waived findings are retained (with Waived set);
+// dmtvet prints only the rest.
 type ResultDiagnostic struct {
 	Analyzer string
 	File     string
@@ -87,7 +73,7 @@ func scanWaivers(fset *token.FileSet, pkg *Package, known map[string]bool) (map[
 				case len(fields) == 0:
 					diags = append(diags, driverDiag(fset, c.Pos(),
 						"malformed waiver: missing analyzer name and reason (want //dmtvet:allow <analyzer> <reason>)"))
-				case !known[fields[0]] && !extraKnown[fields[0]]:
+				case !known[fields[0]]:
 					diags = append(diags, driverDiag(fset, c.Pos(),
 						fmt.Sprintf("malformed waiver: unknown analyzer %q", fields[0])))
 				case len(fields) < 2:
@@ -160,9 +146,7 @@ func RunPackage(prog *Program, pkg *Package, analyzers []*Analyzer) ([]ResultDia
 	}
 	if auditName != "" {
 		for _, rec := range recs {
-			// Only waivers whose analyzer actually ran can be proven
-			// stale; a subset run says nothing about the rest.
-			if rec.used || !known[rec.analyzer] {
+			if rec.used {
 				continue
 			}
 			d := driverDiag(fset, rec.pos, fmt.Sprintf(

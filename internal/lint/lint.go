@@ -1,7 +1,7 @@
 // Package lint implements dmtvet, the repo's custom static-analysis
-// suite. Each analyzer turns one of ROADMAP.md's "Standing contracts" —
-// until now enforced only by digest tests and runtime panics — into a
-// compile-time diagnostic:
+// suite. Each analyzer turns one of ROADMAP.md's "Standing contracts" that
+// no test or runtime guard already enforces into a compile-time
+// diagnostic:
 //
 //	detrand         byte-determinism: no wall clock or underived
 //	                randomness in the deterministic packages
@@ -9,10 +9,6 @@
 //	                map iteration
 //	scratchescape   fast-path rules: pooled scratch must not escape the
 //	                borrowing call
-//	enginerules     simulator engine rules: no engine mutation from node
-//	                event handlers
-//	fusedmut        fast-path rules: svm.FusedLinear and svm.KernelBank
-//	                are immutable after construction
 //	lockdiscipline  concurrency rules: no blocking op while a mutex is
 //	                held, no lock-order inversions, no lock-value copies
 //	goroleak        drain contracts: every spawned goroutine has a join
@@ -20,13 +16,18 @@
 //	waiverstale     waiver hygiene: a //dmtvet:allow that suppresses
 //	                nothing is itself a diagnostic
 //
+// The simulator engine rules and the immutability of svm's score banks are
+// not here: simnet's serialOnly guard panics on every engine misuse from a
+// node event handler (TestSerialOnlyGuards), and the banks' fields are
+// unexported and scored concurrently under the race detector.
+//
 // The analyzers are built on internal/lint/analysis (an offline,
-// API-compatible stand-in for golang.org/x/tools/go/analysis, grown in
-// this PR into an interprocedural engine: intra-module call graph plus
-// deterministic per-function summaries — see analysis.Program/Summary).
-// detrand, scratchescape, fusedmut, lockdiscipline and goroleak consume
-// summaries, so their facts propagate across call boundaries. The suite
-// runs via `go run ./cmd/dmtvet ./...`, which is a required CI step.
+// API-compatible stand-in for golang.org/x/tools/go/analysis with an
+// interprocedural engine: intra-module call graph plus deterministic
+// per-function summaries — see analysis.Program/Summary). detrand,
+// scratchescape, lockdiscipline and goroleak consume summaries, so their
+// facts propagate across call boundaries. The suite runs via
+// `go run ./cmd/dmtvet ./...` (make lint), which is a required CI step.
 // Violations can be surgically suppressed with a
 //
 //	//dmtvet:allow <analyzer> <reason>
@@ -47,22 +48,11 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		DetRand,
-		EngineRules,
-		FusedMut,
 		GoroLeak,
 		LockDiscipline,
 		MapRange,
 		ScratchEscape,
 		WaiverStale,
-	}
-}
-
-// init registers every suite name as a legal waiver target, so subset
-// runs (`dmtvet -run detrand`) do not misreport other analyzers' waivers
-// as malformed.
-func init() {
-	for _, a := range Analyzers() {
-		analysis.RegisterWaiverNames(a.Name)
 	}
 }
 
@@ -95,13 +85,7 @@ func calleeName(call *ast.CallExpr) string {
 // receiverNamed reports whether expr's type is the named type pkgPath.name
 // (through one pointer indirection).
 func receiverNamed(info *types.Info, expr ast.Expr, pkgPath, name string) bool {
-	t := info.TypeOf(expr)
-	return t != nil && namedIs(t, pkgPath, name)
-}
-
-// namedIs reports whether typ is the named type pkgPath.name, through one
-// pointer indirection.
-func namedIs(typ types.Type, pkgPath, name string) bool {
+	typ := info.TypeOf(expr)
 	if p, ok := typ.(*types.Pointer); ok {
 		typ = p.Elem()
 	}

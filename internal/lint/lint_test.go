@@ -33,14 +33,6 @@ func TestScratchEscape(t *testing.T) {
 	analysistest.Run(t, lint.ScratchEscape, "testdata/src/scratchescape", "repro/internal/textproc/dmtvetfixture")
 }
 
-func TestEngineRules(t *testing.T) {
-	analysistest.Run(t, lint.EngineRules, "testdata/src/enginerules", "repro/internal/p2pdmt/dmtvetfixture")
-}
-
-func TestFusedMut(t *testing.T) {
-	analysistest.Run(t, lint.FusedMut, "testdata/src/fusedmut", "repro/internal/svmfixture")
-}
-
 func TestLockDiscipline(t *testing.T) {
 	analysistest.Run(t, lint.LockDiscipline, "testdata/src/lockdiscipline", "repro/internal/serving/dmtvetfixture")
 }
@@ -58,11 +50,11 @@ func TestWaiverStale(t *testing.T) {
 		"testdata/src/waiverstale", "repro/internal/pace/dmtvetfixture")
 }
 
-// TestSuiteOrder pins the registry: eight analyzers, stable names — CI and
-// waiver comments depend on them.
+// TestSuiteOrder pins the registry: six analyzers, stable names — waiver
+// comments depend on them.
 func TestSuiteOrder(t *testing.T) {
-	want := []string{"detrand", "enginerules", "fusedmut", "goroleak",
-		"lockdiscipline", "maprange", "scratchescape", "waiverstale"}
+	want := []string{"detrand", "goroleak", "lockdiscipline", "maprange",
+		"scratchescape", "waiverstale"}
 	got := lint.Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("Analyzers() returned %d analyzers, want %d", len(got), len(want))

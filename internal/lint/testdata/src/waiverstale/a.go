@@ -3,7 +3,7 @@
 // fixture runs detrand alongside the audit (type-checked under a
 // deterministic package path), so it can pin all three behaviors: a used
 // waiver stays silent, an unused waiver of a running analyzer is stale,
-// and a waiver naming an analyzer outside the run set is left alone.
+// and a waiver naming no analyzer of the suite is malformed.
 package fixture
 
 import "time"
@@ -21,9 +21,9 @@ func staleWaiver() int {
 	return 4
 }
 
-// maprange is a legal waiver target but not in this run set; a subset run
-// can say nothing about it, so the waiver is not audited.
-func subsetSafe() int {
-	//dmtvet:allow maprange subset runs must not flag other analyzers' waivers
+// fusedmut was deleted from the suite; a waiver still naming it can
+// never be used, so it is reported rather than silently ignored.
+func deletedAnalyzer() int {
+	//dmtvet:allow fusedmut the analyzer this names is gone // want `malformed waiver: unknown analyzer "fusedmut"`
 	return 5
 }

@@ -12,9 +12,7 @@ import (
 //
 // The check is implemented by the runner (AuditWaivers), which already
 // tracks which waivers suppressed a diagnostic during the run: whatever
-// remains unused when every analyzer has finished is stale. Only waivers
-// naming analyzers in the current run set are audited — running a subset
-// (`dmtvet -run detrand`) never flags another analyzer's waivers.
+// remains unused when every analyzer has finished is stale.
 var WaiverStale = &analysis.Analyzer{
 	Name: "waiverstale",
 	Doc: "a //dmtvet:allow waiver that no longer suppresses any diagnostic of its analyzer " +

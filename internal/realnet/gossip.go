@@ -21,8 +21,9 @@ type Generation struct {
 	Set    *ModelSet
 }
 
-// newerThan reports whether g supersedes cur (nil means "none yet").
-func (g Generation) newerThan(cur *Generation) bool {
+// NewerThan reports whether g supersedes cur (nil means "none yet"):
+// the (Seq, Origin) order every node and installer applies.
+func (g Generation) NewerThan(cur *Generation) bool {
 	if cur == nil {
 		return true
 	}
@@ -59,7 +60,7 @@ func (n *Node) PublishGeneration(set *ModelSet) (Generation, PublishSummary, err
 	// Re-check: an inbound generation may have raced past us while we
 	// encoded; ours still broadcasts (peers order by (Seq, Origin)) but
 	// must not clobber a newer current.
-	if g.newerThan(n.cur) {
+	if g.NewerThan(n.cur) {
 		n.cur = &g
 		n.curPayload = payload
 	}
@@ -100,7 +101,7 @@ func (n *Node) onGeneration(payload []byte) {
 		return
 	}
 	n.mu.Lock()
-	stale := !g.newerThan(n.cur)
+	stale := !g.NewerThan(n.cur)
 	n.mu.Unlock()
 	if stale {
 		return
@@ -111,7 +112,7 @@ func (n *Node) onGeneration(payload []byte) {
 	n.mu.Lock()
 	// Re-check the order: another admitted generation may have raced past
 	// while this one was being validated and probed.
-	if !g.newerThan(n.cur) {
+	if !g.NewerThan(n.cur) {
 		n.mu.Unlock()
 		return
 	}

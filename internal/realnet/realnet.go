@@ -70,6 +70,10 @@ const (
 	maxHelloBytes = 1 << 20
 )
 
+// probeFloor is the per-(document, tag) accuracy an inbound generation
+// must reach on the ProbeDocs holdout: 0.5, no better than chance.
+const probeFloor = 0.5
+
 // DialFunc dials a peer; tests inject failing dialers to simulate
 // partitions and unreachable peers without real network faults.
 type DialFunc func(addr string, timeout time.Duration) (net.Conn, error)
@@ -87,9 +91,6 @@ type Config struct {
 
 	// DialTimeout bounds one dial attempt; default 5s.
 	DialTimeout time.Duration
-	// WriteTimeout bounds writing one frame after a successful dial;
-	// default 10s.
-	WriteTimeout time.Duration
 	// FrameTimeout is the per-frame read deadline on accepted
 	// connections, refreshed before every frame: a connection dies only
 	// after this long with no complete frame, never merely for being
@@ -118,23 +119,16 @@ type Config struct {
 	// floods of invented self-reported addresses; default 256.
 	MaxPeers int
 
-	// MaxSetTags and MaxModelDim bound the structure of an inbound model
-	// set (tag count and per-model dense dimension); MaxGenBytes bounds
-	// the encoded size of an inbound generation frame.
-	// Together with the finite-weight scan they are the structural half
-	// of the Byzantine admission pipeline. Defaults 4096 tags, 1<<22
-	// dims, 32 MiB.
-	MaxSetTags  int
-	MaxModelDim int
+	// MaxGenBytes bounds the encoded size of an inbound generation frame;
+	// default 32 MiB.
 	MaxGenBytes int
 	// ProbeDocs, when set, is a small local holdout scoring set: every
 	// structurally valid inbound generation is scored against it and
 	// rejected when its per-(document, tag) accuracy falls below
-	// ProbeFloor (default 0.5 — no better than chance). This is what
-	// catches semantically poisoned sets (label flips, scaled weights)
-	// whose numbers are individually unremarkable. Nil disables probing.
-	ProbeDocs  []TaggedText
-	ProbeFloor float64
+	// probeFloor. This is what catches semantically poisoned sets (label
+	// flips, scaled weights) whose numbers are individually unremarkable.
+	// Nil disables probing.
+	ProbeDocs []TaggedText
 	// TrustQuarantineFor is the per-origin trust quarantine window: after
 	// a rejected publication the origin's generations are refused outright
 	// until the window (plus jitter derived from runner.DeriveSeed per
@@ -157,9 +151,6 @@ func (cfg *Config) defaults() {
 	}
 	if cfg.DialTimeout == 0 {
 		cfg.DialTimeout = 5 * time.Second
-	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = 10 * time.Second
 	}
 	if cfg.FrameTimeout == 0 {
 		cfg.FrameTimeout = 30 * time.Second
@@ -185,17 +176,8 @@ func (cfg *Config) defaults() {
 	if cfg.MaxPeers == 0 {
 		cfg.MaxPeers = 256
 	}
-	if cfg.MaxSetTags == 0 {
-		cfg.MaxSetTags = 4096
-	}
-	if cfg.MaxModelDim == 0 {
-		cfg.MaxModelDim = 1 << 22
-	}
 	if cfg.MaxGenBytes == 0 {
 		cfg.MaxGenBytes = 32 << 20
-	}
-	if cfg.ProbeFloor == 0 {
-		cfg.ProbeFloor = 0.5
 	}
 	if cfg.TrustQuarantineFor == 0 {
 		cfg.TrustQuarantineFor = 5 * time.Second
@@ -610,7 +592,7 @@ func (n *Node) onHello(payload []byte) {
 // caller has already applied the size budget, checked the digest, decoded
 // the frame, vetted the origin address and dropped stale (Seq, Origin)
 // echoes. A quarantined origin is refused outright; a structurally invalid
-// set, or one scoring under ProbeFloor on the holdout probe (when
+// set, or one scoring under probeFloor on the holdout probe (when
 // configured), halves its origin's trust score and quarantines it;
 // anything else is credited to it. Every refusal is charged to the origin
 // in the transport counters.
@@ -619,8 +601,8 @@ func (n *Node) admit(origin string, set *ModelSet, now time.Time) bool {
 		n.tr.noteReject(origin)
 		return false
 	}
-	if validateModelSet(set, n.cfg.MaxSetTags, n.cfg.MaxModelDim) != nil ||
-		(len(n.probe) > 0 && n.probeAccuracy(set) < n.cfg.ProbeFloor) {
+	if validateModelSet(set) != nil ||
+		(len(n.probe) > 0 && n.probeAccuracy(set) < probeFloor) {
 		n.trust.reject(origin, now)
 		n.tr.noteReject(origin)
 		return false

@@ -174,6 +174,9 @@ func (t *transport) send(to string, typ byte, payload []byte) error {
 	return lastErr
 }
 
+// writeTimeout bounds writing one frame after a successful dial.
+const writeTimeout = 10 * time.Second
+
 // dialAndWrite is one delivery attempt: dial-per-message keeps the sender
 // stateless and correct (generation publishes are rare events); the retry
 // layer above is what absorbs the flakiness this simplicity costs.
@@ -183,7 +186,7 @@ func (t *transport) dialAndWrite(to string, typ byte, payload []byte) error {
 		return err
 	}
 	defer conn.Close()
-	_ = conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	return writeFrame(conn, typ, payload)
 }
 

@@ -7,8 +7,13 @@ import (
 )
 
 // maxTagNameLen bounds one tag name in an inbound model set; real tags are
-// short words, so anything longer is an attack or corruption.
-const maxTagNameLen = 256
+// short words, so anything longer is an attack or corruption. maxSetTags
+// and maxModelDim bound its tag count and per-model dense dimension.
+const (
+	maxTagNameLen = 256
+	maxSetTags    = 4096
+	maxModelDim   = 1 << 22
+)
 
 // finite reports whether x is a usable weight: not NaN, not ±Inf.
 func finite(x float64) bool {
@@ -22,12 +27,12 @@ func finite(x float64) bool {
 // Platt calibration, accuracy) for NaN/Inf, so a poisoned set cannot turn
 // every answer into NaN. Tags are checked in sorted order so the reported
 // error is deterministic for a given set.
-func validateModelSet(ms *ModelSet, maxTags, maxDim int) error {
+func validateModelSet(ms *ModelSet) error {
 	if ms == nil || len(ms.Models) == 0 {
 		return fmt.Errorf("realnet: model set is empty")
 	}
-	if len(ms.Models) > maxTags {
-		return fmt.Errorf("realnet: model set has %d tags, cap is %d", len(ms.Models), maxTags)
+	if len(ms.Models) > maxSetTags {
+		return fmt.Errorf("realnet: model set has %d tags, cap is %d", len(ms.Models), maxSetTags)
 	}
 	tags := make([]string, 0, len(ms.Models))
 	for tag := range ms.Models {
@@ -45,8 +50,8 @@ func validateModelSet(ms *ModelSet, maxTags, maxDim int) error {
 		if m == nil {
 			return fmt.Errorf("realnet: tag %q has no model", tag)
 		}
-		if len(m.W) > maxDim {
-			return fmt.Errorf("realnet: tag %q claims dimension %d, cap is %d", tag, len(m.W), maxDim)
+		if len(m.W) > maxModelDim {
+			return fmt.Errorf("realnet: tag %q claims dimension %d, cap is %d", tag, len(m.W), maxModelDim)
 		}
 		if !finite(m.Bias) {
 			return fmt.Errorf("realnet: tag %q has non-finite bias", tag)

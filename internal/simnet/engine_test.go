@@ -77,8 +77,10 @@ var guardLatencies = []struct {
 }
 
 // TestSerialOnlyGuards pins the engine's misuse panics: lifecycle and
-// system scheduling mutate cross-node state, so calling them from inside a
-// node event handler must fail loudly on every latency model.
+// system scheduling mutate cross-node state, and the setup stream Rand
+// would tie one node's randomness to every other node's traffic, so
+// calling them from inside a node event handler must fail loudly on every
+// latency model.
 func TestSerialOnlyGuards(t *testing.T) {
 	for _, call := range []struct {
 		name string
@@ -89,6 +91,7 @@ func TestSerialOnlyGuards(t *testing.T) {
 		{"Revive", func(n *Network) { n.Revive(2) }},
 		{"AddNode", func(n *Network) { n.AddNode(9, HandlerFunc(func(*Network, Message) {})) }},
 		{"RemoveNode", func(n *Network) { n.RemoveNode(2) }},
+		{"Rand", func(n *Network) { n.Rand() }},
 	} {
 		t.Run(call.name, func(t *testing.T) {
 			for _, lat := range guardLatencies {

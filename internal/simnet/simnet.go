@@ -279,10 +279,13 @@ func (n *Network) Alive(id NodeID) bool {
 func (n *Network) Now() time.Duration { return n.now }
 
 // Rand exposes the setup stream: deterministic randomness tied to the run
-// seed for topology construction and other serial-point choices. Handlers
-// must not draw from it during a run — use NodeRand(self) instead, whose
+// seed for topology construction and other serial-point choices. Calling
+// it from a node event handler panics — use NodeRand(self) instead, whose
 // draws depend only on the node's own event history.
-func (n *Network) Rand() *rand.Rand { return n.rng }
+func (n *Network) Rand() *rand.Rand {
+	n.serialOnly("Rand")
+	return n.rng
+}
 
 // NodeRand returns a node's private random stream, derived from the run
 // seed and the node id. A handler may draw from its own node's stream

@@ -37,13 +37,16 @@ import (
 // The index is dense over feature ids (one offset per id up to the largest
 // any support vector carries), like FusedLinear's weight rows.
 //
+// Decisions come out in ascending tag order, which callers rebuild from
+// the map they packed: the bank hands out no slice of its own memory.
+//
 // A KernelBank is immutable after construction and safe for concurrent
-// use; it is rebuilt whenever its underlying model bank changes (every
-// cascade).
+// use (TestKernelBankConcurrent scores one from several goroutines under
+// the race detector); it is rebuilt whenever its underlying model bank
+// changes (every cascade).
 type KernelBank struct {
 	kernel Kernel
-	tags   []string
-	bias   []float64
+	bias   []float64 // per tag, in ascending tag order
 
 	// terms[tagStart[t]:tagStart[t+1]] is tag t's expansion.
 	tagStart []int32
@@ -81,7 +84,6 @@ func NewKernelBank(models map[string]*KernelModel) (*KernelBank, error) {
 	}
 	sort.Strings(tags)
 	b := &KernelBank{
-		tags:     tags,
 		bias:     make([]float64, len(tags)),
 		tagStart: make([]int32, len(tags)+1),
 	}
@@ -144,25 +146,21 @@ func NewKernelBank(models map[string]*KernelModel) (*KernelBank, error) {
 	return b, nil
 }
 
-// Tags returns the tag names in decision order (sorted ascending). Callers
-// must not modify the returned slice.
-func (b *KernelBank) Tags() []string { return b.tags }
-
 // NumTags reports the bank size.
-func (b *KernelBank) NumTags() int { return len(b.tags) }
+func (b *KernelBank) NumTags() int { return len(b.bias) }
 
 // NumSVs reports the number of distinct support vectors — the scratch
 // length DecisionsInto needs.
 func (b *KernelBank) NumSVs() int { return len(b.norms) }
 
 // DecisionsInto computes every tag's decision value at x, writing them
-// into dst (grown if needed) indexed like Tags(). scratch holds the
+// into dst (grown if needed) in ascending tag order. scratch holds the
 // kernel row; it is only workspace (overwritten, nothing is read back from
 // it) and is replaced locally when shorter than NumSVs(). With a dst of
 // capacity NumTags() and a scratch of length NumSVs() the call allocates
 // nothing.
 func (b *KernelBank) DecisionsInto(x *vector.Sparse, dst, scratch []float64) []float64 {
-	nt := len(b.tags)
+	nt := len(b.bias)
 	if cap(dst) < nt {
 		dst = make([]float64, nt)
 	}

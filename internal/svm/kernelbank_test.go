@@ -2,8 +2,11 @@ package svm
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/vector"
@@ -53,7 +56,7 @@ func checkBankAgainstDecision(t *testing.T, name string, bank map[string]*Kernel
 	if len(got) != len(bank) {
 		t.Fatalf("%s: %d decisions for a %d-tag bank", name, len(got), len(bank))
 	}
-	for i, tag := range b.Tags() {
+	for i, tag := range slices.Sorted(maps.Keys(bank)) {
 		m := bank[tag]
 		if want := m.Decision(x); !sameFloat(got[i], want) {
 			t.Fatalf("%s tag %s: bank %v != Decision %v", name, tag, got[i], want)
@@ -148,6 +151,40 @@ func TestKernelBankInternsSharedSVs(t *testing.T) {
 	if b.NumSVs() > pool || refs <= pool {
 		t.Fatalf("%d kernel-row slots for %d references over a %d-vector pool", b.NumSVs(), refs, pool)
 	}
+}
+
+// TestKernelBankConcurrent scores one bank from several goroutines, as a
+// super-peer's bank is read by every answer in flight. The bank must be
+// immutable after construction: under -race, any write to its memory from
+// DecisionsInto is a data race between the scorers.
+func TestKernelBankConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	bank := randKernelBank(rng, Kernel{Kind: KernelRBF, Gamma: 1}, 6, 12, 0.7,
+		func() *vector.Sparse { return randSparse(rng, 64, 10) })
+	b, err := NewKernelBank(bank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := make([]*vector.Sparse, 8)
+	want := make([][]float64, len(queries))
+	for i := range queries {
+		queries[i] = randSparse(rng, 80, 12)
+		want[i] = b.DecisionsInto(queries[i], nil, nil)
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst, scratch := make([]float64, b.NumTags()), make([]float64, b.NumSVs())
+			for i, x := range queries {
+				if dst = b.DecisionsInto(x, dst, scratch); !slices.Equal(dst, want[i]) {
+					t.Errorf("query %d: concurrent decisions %v, serial %v", i, dst, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestKernelBankEmpty: the empty bank is valid and scores no tags.

@@ -166,18 +166,6 @@ func (m *LinearModel) Noised(relative float64, rng *rand.Rand) *LinearModel {
 	return out
 }
 
-// WeightVector returns the weights as a sparse vector (used by PACE's model
-// index to compute distances between models and documents).
-func (m *LinearModel) WeightVector() *vector.Sparse {
-	acc := make(map[int32]float64)
-	for i, w := range m.W {
-		if w != 0 {
-			acc[int32(i)] = w
-		}
-	}
-	return vector.FromMap(acc)
-}
-
 // LinearOptions configures linear SVM training.
 type LinearOptions struct {
 	// C is the soft-margin penalty; default 1.

@@ -223,14 +223,6 @@ func TestWireSizes(t *testing.T) {
 	}
 }
 
-func TestWeightVector(t *testing.T) {
-	lm := &LinearModel{W: []float64{0, 3, 0, -1}}
-	wv := lm.WeightVector()
-	if wv.Len() != 2 || wv.At(1) != 3 || wv.At(3) != -1 {
-		t.Errorf("WeightVector = %v", wv)
-	}
-}
-
 func TestTrainLinearDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	data := gaussianBlobs(rng, 100, 4, 1.5)
