@@ -13,10 +13,11 @@ test:
 race:
 	go test -race -short ./...
 
-# The testing.AllocsPerRun budgets. Their files build only without -race
+# The allocation budgets: testing.AllocsPerRun counts, and the bytes one
+# received generation costs realnet. Their files build only without -race
 # (the race detector instruments allocations), so the race tier above
 # never runs them; the pattern selects exactly those tests.
-ALLOC_PKGS = . ./internal/svm ./internal/textproc ./bench
+ALLOC_PKGS = . ./internal/svm ./internal/textproc ./internal/realnet ./bench
 allocs:
 	go test -count=1 -run 'Alloc|WorkspaceScales' $(ALLOC_PKGS)
 

@@ -188,10 +188,13 @@
 //     and the realnet mesh train (TrainBank: one-vs-all SVMs, a per-model
 //     post hook, cross-validated Platt) and score (Bank.Probs/Score)
 //     through protocol.Bank; PACE pools many banks (Pool: the
-//     accuracy-weighted log-odds vote, scaled by proximity). A Bank packs its models
-//     into one svm.FusedLinear inverted score matrix (feature id ->
-//     per-tag weights; CSR cells for sparse pruned ensembles and narrow
-//     banks, 8-wide blocked rows for shared-pool banks), Platt and
+//     accuracy-weighted log-odds vote, scaled by proximity). A Bank holds
+//     each model in its sparse published form (svm.SparseModel: the
+//     non-zero weights only, which is what the wire carries and admission
+//     scans), and packs them into one svm.FusedLinear inverted score
+//     matrix (feature id -> per-tag weights; CSR cells for sparse pruned
+//     ensembles and narrow banks, 8-wide blocked rows for shared-pool
+//     banks), Platt and
 //     accuracy in the matrix's tag order, so scoring T tags is one
 //     ascending pass over the document's non-zero entries instead of T dot
 //     products. The matrix is immutable derived data, rebuilt wherever the
@@ -228,11 +231,13 @@
 // from a non-coordinator) copies the entries once into the query it sends.
 // Three contracts make it safe:
 //
-//   - Layout selection: NewFusedLinear puts banks of at least 25% fill
-//     and four tags in the blocked layout (rows zero-padded to multiples
-//     of eight, scored in register-resident accumulator blocks with
+//   - Layout selection: NewFusedSparse, the one constructor (NewFusedLinear
+//     adapts a dense bank to it), puts banks of at least 25% fill and
+//     four tags in the blocked layout (rows zero-padded to multiples of
+//     eight, scored in register-resident accumulator blocks with
 //     bounds-check-free unrolled loops), everything else in CSR (on 1-3
-//     tags padding buys nothing). NewFusedLinearLayout forces a layout.
+//     tags padding buys nothing); a layout other than LayoutAuto forces
+//     one.
 //   - Bit-identity: both layouts accumulate each tag's partial sums over
 //     entries in ascending feature-id order and padding lanes only add
 //     v*0, so both reproduce per-tag Decision exactly; Bank and Pool are

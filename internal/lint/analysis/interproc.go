@@ -271,9 +271,19 @@ func paramVars(f *types.Func) []*types.Var {
 }
 
 // refLike reports whether a value of type t can carry aliasable memory:
-// handing it to someone may share mutable state.
+// handing it to someone may share mutable state. A multi-value call's
+// tuple is ref-like when any of its results is, so `v, err := f(x)`
+// carries whatever f lets flow from x to v.
 func refLike(t types.Type) bool {
 	if t == nil {
+		return false
+	}
+	if tup, ok := t.(*types.Tuple); ok {
+		for i := 0; i < tup.Len(); i++ {
+			if refLike(tup.At(i).Type()) {
+				return true
+			}
+		}
 		return false
 	}
 	switch u := t.Underlying().(type) {

@@ -2,7 +2,11 @@
 // borrowing call.
 package fixture
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/vector"
+)
 
 type workspace struct {
 	arena []byte
@@ -175,4 +179,56 @@ var retained func() []float64
 func escapeViaClosureCapture() {
 	sc := getScoreScratch()
 	retained = func() []float64 { return sc.scores } // want `pooled scratch escapes the borrowing call via return`
+}
+
+// --- multi-value calls: a (T, error) result carries its argument's taint ---
+
+type entryScratch struct {
+	entries []vector.Entry
+}
+
+var entryPool = sync.Pool{New: func() any { return new(entryScratch) }}
+
+func getEntryScratch() *entryScratch { return entryPool.Get().(*entryScratch) }
+
+type sparseVec struct {
+	entries []vector.Entry
+}
+
+// fromEntries stands in for vector.FromEntries, whose body a fixture's
+// program cannot see: it wraps its argument without copying, behind an
+// error result.
+func fromEntries(entries []vector.Entry) (*sparseVec, error) {
+	return &sparseVec{entries: entries}, nil
+}
+
+// finish is textproc's finishVector without its copy: the summary must
+// record that ws flows through the (T, error) call to the result.
+func finish(ws *entryScratch) *sparseVec {
+	v, err := fromEntries(ws.entries)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+func escapeViaTupleHelper() *sparseVec {
+	ws := getEntryScratch()
+	defer entryPool.Put(ws)
+	return finish(ws) // want `pooled scratch escapes the borrowing call via return`
+}
+
+// finishCopy is finishVector as written: the entries are copied first.
+func finishCopy(ws *entryScratch) *sparseVec {
+	v, err := fromEntries(append([]vector.Entry(nil), ws.entries...))
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+func okTupleHelperCopies() *sparseVec {
+	ws := getEntryScratch()
+	defer entryPool.Put(ws)
+	return finishCopy(ws)
 }

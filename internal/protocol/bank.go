@@ -13,15 +13,16 @@ import (
 )
 
 // Bank is the calibrated one-against-all linear bank every protocol but
-// CEMPaR scores with: per tag a linear SVM, its Platt calibration and its
+// CEMPaR scores with: per tag a linear SVM in its published, sparse form
+// (only the non-zero weights), its Platt calibration and its
 // cross-validated accuracy (its weight in an ensemble vote). The maps are
 // what training fills and the wire carries; scoring goes through a fused
-// score matrix derived on first use (never serialized), with Platt and
-// accuracy laid out in the matrix's tag order so a query does no per-tag
-// map lookup. A Bank is immutable once scored or published and must be
-// handled by pointer; the zero Bank scores no tags.
+// score matrix built from the non-zeros on first use (never serialized),
+// with Platt and accuracy laid out in the matrix's tag order so a query
+// does no per-tag map lookup. A Bank is immutable once scored or published
+// and must be handled by pointer; the zero Bank scores no tags.
 type Bank struct {
-	Models   map[string]*svm.LinearModel
+	Models   map[string]*svm.SparseModel
 	Platt    map[string]svm.PlattParams
 	Accuracy map[string]float64
 
@@ -36,14 +37,15 @@ type Bank struct {
 // whose training fails (one-class). post, when non-nil, rewrites each
 // trained model before calibration (PACE prunes and noises what leaves
 // the peer, realnet prunes), so Platt and accuracy describe the model
-// actually published. Tags train over parallel workers (1 means serial,
+// actually published; the dense model is then converted to the sparse form
+// the bank keeps. Tags train over parallel workers (1 means serial,
 // other values <= 0 mean GOMAXPROCS) and install in sorted-tag order: the
 // bank is bit-identical at any worker count.
 func TrainBank(docs []Doc, c float64, seed int64, parallel int, post func(*svm.LinearModel) *svm.LinearModel) *Bank {
 	tags := TagUniverse(docs)
 	opts := svm.LinearOptions{C: c, Seed: seed}
 	type trained struct {
-		model    *svm.LinearModel
+		model    *svm.SparseModel
 		platt    svm.PlattParams
 		accuracy float64
 	}
@@ -59,10 +61,10 @@ func TrainBank(docs []Doc, c float64, seed int64, parallel int, post func(*svm.L
 		// Cross-validated, not training, accuracy: the latter is ~1 for
 		// every overfit small-data model and discriminates nothing.
 		platt, acc := svm.CalibrateLinearCV(exs, opts, m, 3)
-		return trained{model: m, platt: platt, accuracy: acc}, nil
+		return trained{model: m.Sparse(), platt: platt, accuracy: acc}, nil
 	})
 	b := &Bank{
-		Models:   make(map[string]*svm.LinearModel, len(tags)),
+		Models:   make(map[string]*svm.SparseModel, len(tags)),
 		Platt:    make(map[string]svm.PlattParams, len(tags)),
 		Accuracy: make(map[string]float64, len(tags)),
 	}
@@ -82,7 +84,7 @@ func TrainBank(docs []Doc, c float64, seed int64, parallel int, post func(*svm.L
 // (safe for concurrent callers); nil for an empty bank.
 func (b *Bank) fuse() *svm.FusedLinear {
 	b.fuseOnce.Do(func() {
-		f := svm.NewFusedLinear(b.Models)
+		f := svm.NewFusedSparse(b.Models, svm.LayoutAuto)
 		if f == nil {
 			return
 		}

@@ -53,7 +53,7 @@ func genQuery(rng *rand.Rand, dim int) *vector.Sparse {
 // TrainBank, spelled out straight-line.
 func refTrain(docs []Doc, c float64, seed int64, post func(*svm.LinearModel) *svm.LinearModel) *Bank {
 	b := &Bank{
-		Models:   map[string]*svm.LinearModel{},
+		Models:   map[string]*svm.SparseModel{},
 		Platt:    map[string]svm.PlattParams{},
 		Accuracy: map[string]float64{},
 	}
@@ -66,7 +66,7 @@ func refTrain(docs []Doc, c float64, seed int64, post func(*svm.LinearModel) *sv
 		if post != nil {
 			m = post(m)
 		}
-		b.Models[tag] = m
+		b.Models[tag] = m.Sparse()
 		b.Platt[tag], b.Accuracy[tag] = svm.CalibrateLinearCV(exs, svm.LinearOptions{C: c, Seed: seed}, m, 3)
 	}
 	return b

@@ -3,6 +3,7 @@ package realnet
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"net"
@@ -163,8 +164,8 @@ func (a *Adversary) buildPayloads(kind AttackKind, seq uint64) ([][]byte, error)
 		set := clone(a.base)
 		for _, tag := range tags {
 			m := set.Models[tag]
-			if len(m.W) > 0 {
-				m.W[rng.Intn(len(m.W))] = math.NaN()
+			if len(m.Value) > 0 {
+				m.Value[rng.Intn(len(m.Value))] = math.NaN()
 			}
 			m.Bias = math.NaN()
 		}
@@ -173,8 +174,8 @@ func (a *Adversary) buildPayloads(kind AttackKind, seq uint64) ([][]byte, error)
 		set := clone(a.base)
 		for _, tag := range tags {
 			m := set.Models[tag]
-			for i := range m.W {
-				m.W[i] *= -1000
+			for k := range m.Value {
+				m.Value[k] *= -1000
 			}
 			m.Bias *= -1000
 		}
@@ -203,13 +204,18 @@ func (a *Adversary) buildPayloads(kind AttackKind, seq uint64) ([][]byte, error)
 
 // labelFlip rotates the per-tag models one step through the sorted tag
 // universe: every tag answers with its neighbor's model and calibration,
-// so each model is individually well-formed but systematically wrong.
+// so each model is individually well-formed but systematically wrong. The
+// flipped set shares base's models, which nothing mutates.
 func labelFlip(base *ModelSet, tags []string) *ModelSet {
-	set := clone(base)
+	set := &ModelSet{
+		Models:   make(map[string]*svm.SparseModel, len(tags)),
+		Platt:    make(map[string]svm.PlattParams, len(tags)),
+		Accuracy: maps.Clone(base.Accuracy),
+	}
 	for i, tag := range tags {
-		next := base.Models[tags[(i+1)%len(tags)]]
-		set.Models[tag] = &svm.LinearModel{W: append([]float64(nil), next.W...), Bias: next.Bias}
-		set.Platt[tag] = base.Platt[tags[(i+1)%len(tags)]]
+		next := tags[(i+1)%len(tags)]
+		set.Models[tag] = base.Models[next]
+		set.Platt[tag] = base.Platt[next]
 	}
 	return set
 }

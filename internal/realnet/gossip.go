@@ -169,15 +169,18 @@ func (n *Node) gossipLoop() {
 // [seq uint64][origin string][digest uint64][wire model set], where the
 // digest is wire.Checksum over the encoded set bytes: a frame whose set
 // was corrupted or tampered with in flight fails the digest check before
-// the model-set decoder ever runs on it. One buffer: the digest slot is
-// reserved, the set appended behind it, the digest patched in.
+// the model-set decoder ever runs on it. One buffer, allocated once at
+// its exact size: the digest slot is reserved, the set appended behind
+// it, the digest patched in.
 func encodeGeneration(g Generation) ([]byte, error) {
-	b, err := wire.AppendString(binary.LittleEndian.AppendUint64(nil, g.Seq), g.Origin)
+	set := toWire(g.Set)
+	b := make([]byte, 0, 8+2+len(g.Origin)+8+wire.ModelSetSize(set))
+	b, err := wire.AppendString(binary.LittleEndian.AppendUint64(b, g.Seq), g.Origin)
 	if err != nil {
 		return nil, err
 	}
 	digestAt := len(b)
-	if b, err = wire.AppendModelSet(binary.LittleEndian.AppendUint64(b, 0), toWire(g.Set)); err != nil {
+	if b, err = wire.AppendModelSet(binary.LittleEndian.AppendUint64(b, 0), set); err != nil {
 		return nil, err
 	}
 	binary.LittleEndian.PutUint64(b[digestAt:], wire.Checksum(b[digestAt+8:]))

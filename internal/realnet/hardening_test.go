@@ -255,6 +255,46 @@ func TestSizeBudgetBeforeDecode(t *testing.T) {
 	}
 }
 
+// TestWideModelRefused: a set whose model claims a dimension past the
+// hashed feature space decodes (the wire's own dimension cap is far
+// higher) but fails structural validation, and the refusal is charged to
+// its origin. The node has no probe, so nothing else could refuse it: the
+// same set one dimension narrower installs.
+func TestWideModelRefused(t *testing.T) {
+	wide, narrow := clone(pinSet()), clone(pinSet())
+	wide.Models["music"].Dim = maxModelDim + 1
+	narrow.Models["music"].Dim = maxModelDim
+	if err := validateModelSet(wide); err == nil || !strings.Contains(err.Error(), "dimension") {
+		t.Fatalf("validateModelSet(wide) = %v, want the dimension cap", err)
+	}
+	nd, err := Start(Config{Seed: 1, Dial: failDial, MaxAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	const wideOrigin, okOrigin = "10.7.0.1:7000", "10.7.0.2:7000"
+	conn := rawDial(t, nd)
+	writeGen(t, conn, 5, wideOrigin, wide)
+	waitFor(t, "wide set refused", func() bool { return nd.Transport().Rejects >= 1 })
+	if cur, ok := nd.CurrentGeneration(); ok {
+		t.Fatalf("wide generation (%d, %s) installed", cur.Seq, cur.Origin)
+	}
+	if o := nd.Trust().Origins[wideOrigin]; o.Rejected != 1 || o.Accepted != 0 || !o.Quarantined {
+		t.Errorf("wide origin ledger = %+v, want one rejection, quarantined", o)
+	}
+	if got := nd.Transport().Peers[wideOrigin].Rejects; got != 1 {
+		t.Errorf("wide origin transport rejects = %d, want 1", got)
+	}
+	if got := nd.Transport().CorruptFrames; got != 0 {
+		t.Errorf("CorruptFrames = %d: the wide set must decode and fail admission, not the wire", got)
+	}
+	writeGen(t, conn, 1, okOrigin, narrow)
+	waitFor(t, "narrow set installed", func() bool {
+		cur, ok := nd.CurrentGeneration()
+		return ok && cur.Origin == okOrigin
+	})
+}
+
 // TestRetiredModelFrameDrained pins the retirement of frame type 2, the
 // per-peer model broadcast: a well-formed former model frame (sender
 // address plus a model set) is drained unbuffered as an unknown type and

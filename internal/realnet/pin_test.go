@@ -14,12 +14,11 @@ import (
 // pinSet is a small hand-built model set: fixed weights, so its encodings
 // depend on nothing but the codecs.
 func pinSet() *ModelSet {
-	w1 := make([]float64, 64)
-	w1[3], w1[17], w1[40] = 0.5, -1.25, 2.0
-	w2 := make([]float64, 16)
-	w2[0], w2[15] = -0.75, 0.25
 	return &ModelSet{
-		Models:   map[string]*svm.LinearModel{"music": {W: w1, Bias: 0.1}, "travel": {W: w2, Bias: -0.3}},
+		Models: map[string]*svm.SparseModel{
+			"music":  {Index: []int32{3, 17, 40}, Value: []float64{0.5, -1.25, 2.0}, Dim: 64, Bias: 0.1},
+			"travel": {Index: []int32{0, 15}, Value: []float64{-0.75, 0.25}, Dim: 16, Bias: -0.3},
+		},
 		Platt:    map[string]svm.PlattParams{"music": {A: -1.2, B: 0.05}, "travel": {A: -0.8, B: -0.1}},
 		Accuracy: map[string]float64{"music": 0.9, "travel": 0.75},
 	}

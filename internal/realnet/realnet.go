@@ -200,9 +200,11 @@ func newHashedPreprocessor() *textproc.Preprocessor {
 }
 
 // ModelSet is what a node publishes: the calibrated one-vs-all bank the
-// simulated protocols score with, per-tag linear models with their Platt
-// calibration and cross-validated accuracies. A ModelSet is immutable once
-// published and must be handled by pointer.
+// simulated protocols score with, per-tag linear models in their sparse
+// published form with their Platt calibration and cross-validated
+// accuracies. A received set holds its decoded non-zeros and nothing
+// dense. A ModelSet is immutable once published and must be handled by
+// pointer.
 type ModelSet = protocol.Bank
 
 // toWire converts the set to the wire bank encoding.
@@ -214,26 +216,27 @@ func toWire(ms *ModelSet) map[string]wire.CalibratedModel {
 	return out
 }
 
-// clone deep-copies the set — weights included — so a caller may corrupt
-// the copy (the adversary harness does exactly that) without violating
-// the original's immutability contract. The clone's score matrix is
-// rebuilt lazily from the copied weights.
+// clone deep-copies the set — its non-zero weights included — so a caller
+// may corrupt the copy (the adversary harness does exactly that) without
+// violating the original's immutability contract. The clone's score
+// matrix is rebuilt lazily from the copied weights.
 func clone(ms *ModelSet) *ModelSet {
 	out := &ModelSet{
-		Models:   make(map[string]*svm.LinearModel, len(ms.Models)),
+		Models:   make(map[string]*svm.SparseModel, len(ms.Models)),
 		Platt:    maps.Clone(ms.Platt),
 		Accuracy: maps.Clone(ms.Accuracy),
 	}
 	for tag, m := range ms.Models {
-		out.Models[tag] = &svm.LinearModel{W: slices.Clone(m.W), Bias: m.Bias}
+		out.Models[tag] = &svm.SparseModel{Index: slices.Clone(m.Index), Value: slices.Clone(m.Value), Dim: m.Dim, Bias: m.Bias}
 	}
 	return out
 }
 
-// modelSetFromWire rebuilds a set from its wire bank encoding.
+// modelSetFromWire rebuilds a set from its wire bank encoding; the models
+// are the decoded ones, not copies.
 func modelSetFromWire(set map[string]wire.CalibratedModel) *ModelSet {
 	ms := &ModelSet{
-		Models:   make(map[string]*svm.LinearModel, len(set)),
+		Models:   make(map[string]*svm.SparseModel, len(set)),
 		Platt:    make(map[string]svm.PlattParams, len(set)),
 		Accuracy: make(map[string]float64, len(set)),
 	}

@@ -8,11 +8,14 @@ import (
 
 // maxTagNameLen bounds one tag name in an inbound model set; real tags are
 // short words, so anything longer is an attack or corruption. maxSetTags
-// and maxModelDim bound its tag count and per-model dense dimension.
+// bounds its tag count. maxModelDim is the hashed feature space every
+// peer vectorizes into (newHashedPreprocessor's HashDim): a wider model
+// means nothing to a peer, and the cap bounds the score matrix's per-
+// feature row index at 256 KB.
 const (
 	maxTagNameLen = 256
 	maxSetTags    = 4096
-	maxModelDim   = 1 << 22
+	maxModelDim   = 1 << 16
 )
 
 // finite reports whether x is a usable weight: not NaN, not ±Inf.
@@ -22,11 +25,14 @@ func finite(x float64) bool {
 
 // validateModelSet is the structural half of the Byzantine admission
 // pipeline: every inbound generation's set passes it before it may be
-// installed, relayed or built into an ensemble. It enforces the shape caps (tag count, tag name length, dense
-// dimension) and scans every number the vote will consume (weights, bias,
-// Platt calibration, accuracy) for NaN/Inf, so a poisoned set cannot turn
-// every answer into NaN. Tags are checked in sorted order so the reported
-// error is deterministic for a given set.
+// installed, relayed or built into an ensemble. It enforces the shape
+// caps (tag count, tag name length, model dimension) and scans every
+// number the vote will consume (the non-zero weights, bias, Platt
+// calibration, accuracy) for NaN/Inf, so a poisoned set cannot turn every
+// answer into NaN. Index order and range need no check here: the wire
+// decoder refuses any set whose entries are not strictly ascending below
+// their model's dimension. Tags are checked in sorted order so the
+// reported error is deterministic for a given set.
 func validateModelSet(ms *ModelSet) error {
 	if ms == nil || len(ms.Models) == 0 {
 		return fmt.Errorf("realnet: model set is empty")
@@ -50,15 +56,15 @@ func validateModelSet(ms *ModelSet) error {
 		if m == nil {
 			return fmt.Errorf("realnet: tag %q has no model", tag)
 		}
-		if len(m.W) > maxModelDim {
-			return fmt.Errorf("realnet: tag %q claims dimension %d, cap is %d", tag, len(m.W), maxModelDim)
+		if m.Dim > maxModelDim {
+			return fmt.Errorf("realnet: tag %q claims dimension %d, cap is %d", tag, m.Dim, maxModelDim)
 		}
 		if !finite(m.Bias) {
 			return fmt.Errorf("realnet: tag %q has non-finite bias", tag)
 		}
-		for i, w := range m.W {
+		for k, w := range m.Value {
 			if !finite(w) {
-				return fmt.Errorf("realnet: tag %q has non-finite weight at %d", tag, i)
+				return fmt.Errorf("realnet: tag %q has non-finite weight at %d", tag, m.Index[k])
 			}
 		}
 		p := ms.Platt[tag]

@@ -47,7 +47,7 @@ func TestBlockedScoreIntoZeroAlloc(t *testing.T) {
 		}
 		bank[fmt.Sprintf("t%02d", i)] = &LinearModel{W: w, Bias: 0.1}
 	}
-	f := NewFusedLinearLayout(bank, LayoutBlocked)
+	f := NewFusedSparse(sparseBank(bank), LayoutBlocked)
 	if f.Layout() != LayoutBlocked {
 		t.Fatalf("layout %v, want blocked", f.Layout())
 	}

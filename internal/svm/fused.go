@@ -115,17 +115,26 @@ const (
 	blockedMinTags = 4
 )
 
-// NewFusedLinear packs models (a per-tag one-vs-all bank) into a fused
-// score matrix, choosing the layout automatically. Returns nil for an
-// empty bank, which callers treat as "no models".
+// NewFusedLinear packs a dense bank (per tag, TrainLinear's output) into a
+// fused score matrix with the layout chosen automatically: a thin adapter
+// that converts each model to its sparse form for NewFusedSparse. Returns
+// nil for an empty bank, which callers treat as "no models".
 func NewFusedLinear(models map[string]*LinearModel) *FusedLinear {
-	return NewFusedLinearLayout(models, LayoutAuto)
+	sparse := make(map[string]*SparseModel, len(models))
+	for tag, m := range models {
+		sparse[tag] = m.Sparse()
+	}
+	return NewFusedSparse(sparse, LayoutAuto)
 }
 
-// NewFusedLinearLayout is NewFusedLinear with an explicit layout — the
-// escape hatch benchmarks and layout-equality tests use to score the same
-// bank through every packing. Production callers want NewFusedLinear.
-func NewFusedLinearLayout(models map[string]*LinearModel, layout Layout) *FusedLinear {
+// NewFusedSparse packs models (a per-tag one-vs-all bank in its published,
+// sparse form) into a fused score matrix. LayoutAuto chooses the packing
+// by bank density and width; the other layouts force one, the escape
+// hatch benchmarks and layout-equality tests use to score the same bank
+// through every packing. Every index must lie below its model's Dim (the
+// wire decoder and LinearModel.Sparse guarantee it). Returns nil for an
+// empty bank.
+func NewFusedSparse(models map[string]*SparseModel, layout Layout) *FusedLinear {
 	if len(models) == 0 {
 		return nil
 	}
@@ -138,14 +147,8 @@ func NewFusedLinearLayout(models map[string]*LinearModel, layout Layout) *FusedL
 	nnz := 0
 	for _, tag := range tags {
 		m := models[tag]
-		if len(m.W) > dim {
-			dim = len(m.W)
-		}
-		for _, w := range m.W {
-			if w != 0 {
-				nnz++
-			}
-		}
+		dim = max(dim, m.Dim)
+		nnz += len(m.Index)
 	}
 	f := &FusedLinear{
 		tags: tags,
@@ -160,37 +163,37 @@ func NewFusedLinearLayout(models map[string]*LinearModel, layout Layout) *FusedL
 		f.ntPad = (len(tags) + blockWidth - 1) / blockWidth * blockWidth
 		f.blocks = make([]float64, dim*f.ntPad)
 		for ti, tag := range tags {
-			for fid, w := range models[tag].W {
-				f.blocks[fid*f.ntPad+ti] = w
+			m := models[tag]
+			for k, fid := range m.Index {
+				f.blocks[int(fid)*f.ntPad+ti] = m.Value[k]
 			}
 		}
-	} else { // LayoutCSR
-		f.rowStart = make([]int32, dim+1)
-		f.cells = make([]fusedCell, nnz)
-		// Counting pass: cells per feature row.
-		for _, tag := range tags {
-			for fid, w := range models[tag].W {
-				if w != 0 {
-					f.rowStart[fid+1]++
-				}
-			}
-		}
-		for fid := 0; fid < dim; fid++ {
-			f.rowStart[fid+1] += f.rowStart[fid]
-		}
-		// Fill pass: tags in sorted order, so each row lists its cells in
-		// ascending tag index (a stable, deterministic layout).
-		next := make([]int32, dim)
-		copy(next, f.rowStart[:dim])
-		for ti, tag := range tags {
-			for fid, w := range models[tag].W {
-				if w != 0 {
-					f.cells[next[fid]] = fusedCell{tag: int32(ti), w: w}
-					next[fid]++
-				}
-			}
+		return f
+	}
+	// LayoutCSR. Counting pass: cells per feature row, then prefix sums.
+	f.rowStart = make([]int32, dim+1)
+	f.cells = make([]fusedCell, nnz)
+	for _, tag := range tags {
+		for _, fid := range models[tag].Index {
+			f.rowStart[fid+1]++
 		}
 	}
+	for fid := 0; fid < dim; fid++ {
+		f.rowStart[fid+1] += f.rowStart[fid]
+	}
+	// Fill pass: rowStart[fid] is row fid's write cursor, so each row ends
+	// up listing its cells in ascending tag index (tags run in sorted
+	// order) and each cursor ends on the next row's start; one shift puts
+	// every start back.
+	for ti, tag := range tags {
+		m := models[tag]
+		for k, fid := range m.Index {
+			f.cells[f.rowStart[fid]] = fusedCell{tag: int32(ti), w: m.Value[k]}
+			f.rowStart[fid]++
+		}
+	}
+	copy(f.rowStart[1:], f.rowStart[:dim])
+	f.rowStart[0] = 0
 	return f
 }
 

@@ -41,6 +41,51 @@ func randBank(rng *rand.Rand, tags, dim int, fill float64) map[string]*LinearMod
 	return bank
 }
 
+// sparseBank converts a dense bank to the published form NewFusedSparse
+// packs.
+func sparseBank(bank map[string]*LinearModel) map[string]*SparseModel {
+	out := make(map[string]*SparseModel, len(bank))
+	for tag, m := range bank {
+		out[tag] = m.Sparse()
+	}
+	return out
+}
+
+// TestSparseModelMatchesDense: Sparse keeps exactly the non-zero weights
+// in ascending order (signed zeros dropped), and its Decision equals the
+// dense model's on exact float64 comparison, for queries reaching past
+// the model's dimension too.
+func TestSparseModelMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 20; trial++ {
+		m := randBank(rng, 1, 64+rng.Intn(192), 0.2)["tag00"]
+		m.W[0] = math.Copysign(0, -1)
+		s := m.Sparse()
+		if s.Dim != len(m.W) || s.Bias != m.Bias || s.WireSize() != m.WireSize() {
+			t.Fatalf("trial %d: dim %d bias %v size %d, dense %d %v %d", trial, s.Dim, s.Bias, s.WireSize(), len(m.W), m.Bias, m.WireSize())
+		}
+		k := 0
+		for i, w := range m.W {
+			if w == 0 {
+				continue
+			}
+			if s.Index[k] != int32(i) || s.Value[k] != w {
+				t.Fatalf("trial %d: entry %d = (%d, %v), want (%d, %v)", trial, k, s.Index[k], s.Value[k], i, w)
+			}
+			k++
+		}
+		if k != len(s.Index) || len(s.Value) != k {
+			t.Fatalf("trial %d: %d/%d entries for %d non-zeros", trial, len(s.Index), len(s.Value), k)
+		}
+		for q := 0; q < 8; q++ {
+			x := randSparse(rng, 300, 1+rng.Intn(40))
+			if got, want := s.Decision(x), m.Decision(x); got != want {
+				t.Fatalf("trial %d: sparse Decision %v, dense %v", trial, got, want)
+			}
+		}
+	}
+}
+
 // TestFusedScoresPinnedToDecision is the fused-scoring identity pin: for
 // random banks and documents, under automatic layout selection, the
 // scores must equal per-tag Decision on exact float64 comparison — same
@@ -94,7 +139,7 @@ func TestFusedLayoutsPinnedToDecision(t *testing.T) {
 			bank := randBank(rng, nt, 48+rng.Intn(160), fill)
 			fused := make([]*FusedLinear, len(layouts))
 			for i, l := range layouts {
-				fused[i] = NewFusedLinearLayout(bank, l)
+				fused[i] = NewFusedSparse(sparseBank(bank), l)
 				if got := fused[i].Layout(); got != l {
 					t.Fatalf("tags %d fill %.2f: forced %v, built %v", nt, fill, l, got)
 				}
@@ -129,7 +174,7 @@ func TestScoreEntriesIntoStreaming(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	bank := randBank(rng, 12, 128, 0.8)
 	for _, l := range []Layout{LayoutCSR, LayoutBlocked} {
-		f := NewFusedLinearLayout(bank, l)
+		f := NewFusedSparse(sparseBank(bank), l)
 		var b []float64
 		for q := 0; q < 10; q++ {
 			x := randSparse(rng, 400, 1+rng.Intn(60))
@@ -326,7 +371,7 @@ func BenchmarkFusedLayouts(b *testing.B) {
 		}
 		entries := randSparse(rng, dim, 80).Entries()
 		for _, l := range []Layout{LayoutCSR, LayoutBlocked} {
-			f := NewFusedLinearLayout(bank, l)
+			f := NewFusedSparse(sparseBank(bank), l)
 			b.Run(fmt.Sprintf("tags%02d/%v", tags, l), func(b *testing.B) {
 				b.ReportAllocs()
 				buf := make([]float64, 0, tags+blockWidth)

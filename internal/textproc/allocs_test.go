@@ -74,15 +74,15 @@ func TestVectorizeIntoZeroAlloc(t *testing.T) {
 func TestStreamingScoreAllocBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	const dim = 4096
-	bank := make(map[string]*svm.LinearModel, 12)
+	bank := make(map[string]*svm.SparseModel, 12)
 	for i := 0; i < 12; i++ {
 		w := make([]float64, dim)
 		for j := range w {
 			w[j] = rng.NormFloat64()
 		}
-		bank[fmt.Sprintf("t%02d", i)] = &svm.LinearModel{W: w, Bias: 0.1}
+		bank[fmt.Sprintf("t%02d", i)] = (&svm.LinearModel{W: w, Bias: 0.1}).Sparse()
 	}
-	fused := svm.NewFusedLinearLayout(bank, svm.LayoutBlocked)
+	fused := svm.NewFusedSparse(bank, svm.LayoutBlocked)
 	p := NewPreprocessor(nil, Options{Normalize: true, HashDim: dim})
 	var scores []float64
 	visit := func(entries []vector.Entry) { scores = fused.ScoreEntriesInto(entries, scores) }

@@ -3,8 +3,13 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
+	"maps"
 	"math"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/svm"
@@ -13,29 +18,90 @@ import (
 // fuzzSeedSet is a small honest model set whose encoding seeds the fuzz
 // corpus (alongside the committed files under testdata/fuzz).
 func fuzzSeedSet() map[string]CalibratedModel {
-	w1 := make([]float64, 64)
-	w1[3], w1[17], w1[40] = 0.5, -1.25, 2.0
-	w2 := make([]float64, 16)
-	w2[0], w2[15] = -0.75, 0.25
 	return map[string]CalibratedModel{
 		"music": {
-			Model:    &svm.LinearModel{W: w1, Bias: 0.1},
+			Model:    &svm.SparseModel{Index: []int32{3, 17, 40}, Value: []float64{0.5, -1.25, 2.0}, Dim: 64, Bias: 0.1},
 			Platt:    svm.PlattParams{A: -1.2, B: 0.05},
 			Accuracy: 0.9,
 		},
 		"travel": {
-			Model:    &svm.LinearModel{W: w2, Bias: -0.3},
+			Model:    &svm.SparseModel{Index: []int32{0, 15}, Value: []float64{-0.75, 0.25}, Dim: 16, Bias: -0.3},
 			Platt:    svm.PlattParams{A: -0.8, B: -0.1},
 			Accuracy: 0.75,
 		},
 	}
 }
 
+// rawModel is one set member written field by field, canonical or not.
+type rawModel struct {
+	tag   string
+	dim   uint32
+	index []uint32
+	value []float64
+}
+
+// rawSet encodes members in the given order exactly as listed, bypassing
+// AppendModelSet's sorting, so a test can write what no honest encoder
+// would.
+func rawSet(members ...rawModel) []byte {
+	b := le.AppendUint16(nil, uint16(len(members)))
+	for _, m := range members {
+		b, _ = AppendString(b, m.tag)
+		b = le.AppendUint64(b, math.Float64bits(0.25))
+		b = le.AppendUint32(b, m.dim)
+		b = le.AppendUint32(b, uint32(len(m.index)))
+		for k, idx := range m.index {
+			b = appendEntry(b, idx, m.value[k])
+		}
+		for _, v := range [3]float64{-1, 0.5, 0.75} {
+			b = le.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	return b
+}
+
+// nonCanonical is one well-formed but non-canonical payload per refusal
+// rule of DecodeModelSet and ReadModelSet.
+func nonCanonical() map[string][]byte {
+	ok := rawModel{tag: "a", dim: 8, index: []uint32{1, 5}, value: []float64{0.5, -2}}
+	b := ok
+	b.tag = "b"
+	model := func(index []uint32, value []float64) []byte {
+		return rawSet(rawModel{tag: "a", dim: 8, index: index, value: value})
+	}
+	return map[string][]byte{
+		"repeated tag":     rawSet(ok, ok),
+		"descending tags":  rawSet(b, ok),
+		"repeated index":   model([]uint32{1, 1}, []float64{0.5, -2}),
+		"descending index": model([]uint32{5, 1}, []float64{0.5, -2}),
+		"index at dim":     model([]uint32{1, 8}, []float64{0.5, -2}),
+		"explicit zero":    model([]uint32{1, 5}, []float64{0.5, 0}),
+		"negative zero":    model([]uint32{1, 5}, []float64{math.Copysign(0, -1), -2}),
+		"trailing bytes":   append(rawSet(ok, b), 0),
+	}
+}
+
+// TestDecodeRefusesNonCanonical: each refusal rule rejects its payload
+// with ErrCorrupt, while the same members written canonically decode.
+func TestDecodeRefusesNonCanonical(t *testing.T) {
+	for name, data := range nonCanonical() {
+		if _, err := ReadModelSet(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+	canonical := rawSet(
+		rawModel{tag: "a", dim: 8, index: []uint32{1, 5}, value: []float64{0.5, -2}},
+		rawModel{tag: "b", dim: 8, index: []uint32{0, 7}, value: []float64{math.NaN(), 1}},
+	)
+	if _, err := ReadModelSet(bytes.NewReader(canonical)); err != nil {
+		t.Fatalf("canonical payload refused: %v", err)
+	}
+}
+
 // FuzzReadModelSet drives arbitrary bytes at the model-set decoder. The
-// decoder must never panic or allocate past its budgets, and anything it
-// accepts must re-encode deterministically: write(read(data)) read back and
-// written again yields byte-identical output (the canonical sorted-tag
-// encoding is a fixed point).
+// decoder must never panic or allocate past its budgets, and it accepts
+// only canonical encodings: whatever it accepts re-encodes to exactly the
+// input bytes.
 func FuzzReadModelSet(f *testing.F) {
 	var valid bytes.Buffer
 	if err := WriteModelSet(&valid, fuzzSeedSet()); err != nil {
@@ -47,25 +113,20 @@ func FuzzReadModelSet(f *testing.F) {
 	// Lying tag count over no data, and a huge-dim claim.
 	f.Add([]byte{0xff, 0xff})
 	f.Add([]byte{1, 0, 1, 0, 'a', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})
+	for _, name := range slices.Sorted(maps.Keys(nonCanonical())) {
+		f.Add(nonCanonical()[name])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		set, err := ReadModelSet(bytes.NewReader(data))
 		if err != nil {
 			return // rejecting hostile input is the job
 		}
-		var once bytes.Buffer
-		if err := WriteModelSet(&once, set); err != nil {
+		var again bytes.Buffer
+		if err := WriteModelSet(&again, set); err != nil {
 			t.Fatalf("accepted set refuses to encode: %v", err)
 		}
-		again, err := ReadModelSet(bytes.NewReader(once.Bytes()))
-		if err != nil {
-			t.Fatalf("canonical encoding refused on re-read: %v", err)
-		}
-		var twice bytes.Buffer
-		if err := WriteModelSet(&twice, again); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
-			t.Fatalf("canonical encoding is not a fixed point: %d vs %d bytes", once.Len(), twice.Len())
+		if !bytes.Equal(again.Bytes(), data) {
+			t.Fatalf("accepted %d bytes that re-encode to %d different ones", len(data), again.Len())
 		}
 	})
 }
@@ -98,49 +159,55 @@ func TestChecksumPinned(t *testing.T) {
 }
 
 // TestDecoderBudgets pins the allocation caps: decoders refuse claimed
-// sizes past their budgets with ErrCorrupt instead of allocating.
+// sizes past their budgets with ErrCorrupt instead of allocating, and a
+// claimed dimension buys nothing.
 func TestDecoderBudgets(t *testing.T) {
 	t.Run("linear dim cap", func(t *testing.T) {
-		var buf bytes.Buffer
-		mustWrite(t, &buf, math.Float64bits(0.0)) // bias
-		mustWrite(t, &buf, uint32(maxModelDim+1)) // dim past the cap
-		mustWrite(t, &buf, uint32(0))             // nnz
-		if _, err := ReadLinearModel(&buf); err == nil {
-			t.Fatal("dim past maxModelDim accepted")
+		data := rawSet(rawModel{tag: "a", dim: maxModelDim + 1})
+		if _, err := ReadModelSet(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("dim past maxModelDim: err = %v", err)
 		}
 	})
 	t.Run("set weight budget", func(t *testing.T) {
-		// Each model claims the largest dim the per-model cap allows with
-		// zero entries; enough of them must trip the cumulative budget even
-		// though each is individually within bounds.
-		var buf bytes.Buffer
-		perModel := uint32(maxModelSetWeights/2 + 1)
-		mustWrite(t, &buf, uint16(3))
-		for i := 0; i < 3; i++ {
-			mustWrite(t, &buf, uint16(1))
-			buf.WriteByte(byte('a' + i))
-			mustWrite(t, &buf, math.Float64bits(0.0)) // bias
-			mustWrite(t, &buf, perModel)              // dim
-			mustWrite(t, &buf, uint32(0))             // nnz
-			for j := 0; j < 3; j++ {
-				mustWrite(t, &buf, math.Float64bits(0.5)) // platt + accuracy
-			}
-		}
-		if _, err := ReadModelSet(&buf); err == nil {
-			t.Fatal("cumulative weight budget not enforced")
+		// The second model's claim fits the per-set cap on its own, but
+		// not beside the first model's two entries: the cumulative budget
+		// refuses it from the header, before looking for its bytes.
+		data := rawSet(rawModel{tag: "a", dim: 8, index: []uint32{1, 5}, value: []float64{0.5, -2}})
+		data[0] = 2
+		data, _ = AppendString(data, "b")
+		data = le.AppendUint64(data, 0)
+		data = le.AppendUint32(data, maxModelDim)
+		data = le.AppendUint32(data, maxModelSetEntries-1)
+		_, err := ReadModelSet(bytes.NewReader(data))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "exceeds") {
+			t.Fatalf("cumulative entry budget not enforced: err = %v", err)
 		}
 	})
 	t.Run("truncated nnz allocates nothing dense", func(t *testing.T) {
 		// A model claiming a large dim with entries that never arrive must
-		// error on the missing bytes (the dense array materializes only
-		// after the sparse entries were read, so the claim costs nothing).
-		var buf bytes.Buffer
-		mustWrite(t, &buf, math.Float64bits(0.0))
-		mustWrite(t, &buf, uint32(maxModelDim)) // dim at the cap
-		mustWrite(t, &buf, uint32(1000))        // promised entries...
-		// ...but the stream ends here.
-		if _, err := ReadLinearModel(&buf); err == nil {
-			t.Fatal("truncated weight stream accepted")
+		// error on the missing bytes.
+		data := rawSet(rawModel{tag: "a", dim: maxModelDim})
+		le.PutUint32(data[2+3+8+4:], 1000) // promised entries, then calibration only
+		if _, err := ReadModelSet(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("truncated weight stream: err = %v", err)
+		}
+	})
+	t.Run("claimed dim costs nothing", func(t *testing.T) {
+		// A 47-byte record claiming the dimension cap with no entries is a
+		// valid set; decoding it must cost the receiver next to nothing.
+		data := rawSet(rawModel{tag: "a", dim: maxModelDim})
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			set, err := DecodeModelSet(NewCursor(data))
+			if err != nil || set["a"].Model.Dim != maxModelDim {
+				t.Fatalf("decode = %v, %v", set, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 4<<10 {
+			t.Errorf("a record claiming dim %d allocated %d bytes per decode, budget 4 KiB", maxModelDim, per)
 		}
 	})
 }

@@ -5,11 +5,10 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/svm"
 	"repro/internal/vector"
 )
 
-// pinnedEncodings are the three encodings this package produces, over fixed
+// pinnedEncodings are the two encodings this package produces, over fixed
 // inputs, with the digests (Checksum) and lengths of the bytes they had
 // before the byte-cursor rewrite. Old and new nodes interoperate only while
 // these hold; a change here is a wire-format break, not a refactor.
@@ -20,11 +19,8 @@ func pinnedEncodings(t *testing.T) []struct {
 	digest uint64
 } {
 	t.Helper()
-	var set, model, vec bytes.Buffer
+	var set, vec bytes.Buffer
 	if err := WriteModelSet(&set, fuzzSeedSet()); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteLinearModel(&model, &svm.LinearModel{W: []float64{0, 1.5, 0, -2.25, 0, 0, 3}, Bias: -0.5}); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteVector(&vec, vector.FromMap(map[int32]float64{1: 2, 5: -1, 9000: 0.125})); err != nil {
@@ -37,7 +33,6 @@ func pinnedEncodings(t *testing.T) []struct {
 		digest uint64
 	}{
 		{"model set", set.Bytes(), 157, 0x877101dfcc98548a},
-		{"linear model", model.Bytes(), 52, 0xe5261ba7eb200567},
 		{"vector", vec.Bytes(), 40, 0x6d9441280b05a30f},
 	}
 }
@@ -56,9 +51,8 @@ func TestEncodingsPinned(t *testing.T) {
 // success on fewer bytes than were written.
 func TestEveryTruncationIsCorrupt(t *testing.T) {
 	decoders := map[string]func([]byte) error{
-		"model set":    func(b []byte) error { _, err := ReadModelSet(bytes.NewReader(b)); return err },
-		"linear model": func(b []byte) error { _, err := ReadLinearModel(bytes.NewReader(b)); return err },
-		"vector":       func(b []byte) error { _, err := ReadVector(bytes.NewReader(b), 0); return err },
+		"model set": func(b []byte) error { _, err := ReadModelSet(bytes.NewReader(b)); return err },
+		"vector":    func(b []byte) error { _, err := ReadVector(bytes.NewReader(b), 0); return err },
 	}
 	for _, p := range pinnedEncodings(t) {
 		decode := decoders[p.name]

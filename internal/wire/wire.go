@@ -1,22 +1,28 @@
 // Package wire provides the binary serialization of the objects peers
-// exchange — sparse vectors, linear models and calibrated model sets. The
-// simulator charges message sizes from analytic WireSize estimates; this
-// package is the deployable encoding those estimates model, and its tests
-// pin the two within tolerance so the cost accounting stays honest.
+// exchange — sparse vectors and calibrated model sets. The simulator
+// charges message sizes from analytic WireSize estimates; this package is
+// the deployable encoding those estimates model, and its tests pin the two
+// within tolerance so the cost accounting stays honest.
 //
 // Format: little-endian, length-prefixed. Vectors encode as
 // [n uint32] then n × ([index uint32][value float64]); strings as
-// [len uint16][bytes]. Every payload a peer handles is complete in memory
-// before it is decoded (a frame, a file), so there is one codec over
-// bytes: encoders append to a []byte, decoders read through a
-// bounds-checked Cursor. No reflection, no allocation surprises.
+// [len uint16][bytes]; a model set as its tag count, then per tag in
+// ascending order the tag, the model's bias, dim and non-zero count, its
+// (index, value) entries in ascending index order, and its calibration.
+// Every payload a peer handles is complete in memory before it is decoded
+// (a frame, a file), so there is one codec over bytes: encoders append to
+// a []byte, decoders read through a bounds-checked Cursor. A model set has
+// exactly one encoding, and the decoder accepts only that one. No
+// reflection, no allocation surprises.
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/svm"
@@ -29,26 +35,27 @@ var ErrCorrupt = fmt.Errorf("wire: corrupt input")
 // Decoder allocation budgets. A length prefix is attacker-controlled and
 // costs the sender nothing, so no decoder allocates proportionally to a
 // claimed length before checking it against the bytes that actually
-// remain, and dense weight arrays are materialized only after their sparse
-// entries were found present. The budgets below bound the decoded size a
-// single call can reach even when every prefix lies as hard as the caps
-// allow.
+// remain. A model set is only ever held sparse: a claimed dimension sizes
+// nothing, and what a set costs its receiver is counted in decoded
+// entries, each backed by its 12 bytes of payload. The budgets below bound
+// a single call even when every prefix lies as hard as the caps allow.
 const (
-	// maxModelDim bounds one linear model's dense weight vector
-	// (128 MiB of float64 at the cap; honest models use HashDim 1<<16).
+	// maxModelDim bounds one model's claimed dimension (honest models use
+	// HashDim 1<<16, the cap realnet's admission enforces).
 	maxModelDim = 1 << 24
-	// maxModelSetWeights bounds the total dense weights across every
-	// model of one decoded set (64 MiB of float64 at the cap).
-	maxModelSetWeights = 1 << 23
+	// maxModelSetEntries bounds the decoded non-zero weights across every
+	// model of one set (96 MiB of index/value slab at the cap).
+	maxModelSetEntries = 1 << 23
 	// maxEncodedBytes bounds what the io.Reader forms buffer before
 	// decoding (an honest set is a few hundred KB; realnet refuses frames
 	// past the same size).
 	maxEncodedBytes = 64 << 20
 	// entryBytes is one encoded (index uint32, value float64) pair;
-	// minModelRecord is the smallest encoded set member: an empty tag, a
-	// model header and three calibration floats.
-	entryBytes     = 12
-	minModelRecord = 2 + 16 + 24
+	// modelHeaderBytes a model's bias, dim and nnz; calibrationBytes its
+	// Platt A, B and accuracy.
+	entryBytes       = 12
+	modelHeaderBytes = 16
+	calibrationBytes = 24
 )
 
 var le = binary.LittleEndian
@@ -207,86 +214,38 @@ func ReadVector(r io.Reader, maxEntries int) (*vector.Sparse, error) {
 	return v, nil
 }
 
-// appendLinearModel encodes m sparsely (only non-zero weights) in one pass
-// over W: the non-zero count is patched in once it is known.
-func appendLinearModel(b []byte, m *svm.LinearModel) []byte {
-	b = le.AppendUint64(b, math.Float64bits(m.Bias))
-	b = le.AppendUint32(b, uint32(len(m.W)))
-	nnzAt := len(b)
-	b = le.AppendUint32(b, 0)
-	nnz := uint32(0)
-	for i, x := range m.W {
-		if x != 0 {
-			b = appendEntry(b, uint32(i), x)
-			nnz++
-		}
-	}
-	le.PutUint32(b[nnzAt:], nnz)
-	return b
-}
-
-// WriteLinearModel encodes m sparsely (only non-zero weights).
-func WriteLinearModel(w io.Writer, m *svm.LinearModel) error {
-	_, err := w.Write(appendLinearModel(nil, m))
-	return err
-}
-
-// ReadLinearModel decodes a model written by WriteLinearModel from
-// everything r holds.
-func ReadLinearModel(r io.Reader) (*svm.LinearModel, error) {
-	c, err := readAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return decodeLinearModel(c, maxModelDim)
-}
-
-// decodeLinearModel decodes one linear model with the dense dimension
-// capped at maxDim; DecodeModelSet threads a shrinking budget through it so
-// a set of lying prefixes cannot multiply per-model allocations. The dense
-// weight array is materialized only once every sparse entry is known to be
-// present — a claimed dim costs the sender nnz entries of real bytes first.
-func decodeLinearModel(c *Cursor, maxDim int) (*svm.LinearModel, error) {
-	bias, dim, nnz := c.F64(), c.U32(), c.U32()
-	if c.Err() != nil {
-		return nil, fmt.Errorf("linear model header: %w", c.Err())
-	}
-	if int64(dim) > int64(maxDim) || nnz > dim {
-		return nil, fmt.Errorf("%w: dim=%d nnz=%d (max dim %d)", ErrCorrupt, dim, nnz, maxDim)
-	}
-	p := c.Take(entryBytes * int(nnz))
-	if c.Err() != nil {
-		return nil, fmt.Errorf("linear model weights: %w", c.Err())
-	}
-	m := &svm.LinearModel{W: make([]float64, dim), Bias: bias}
-	for ; len(p) > 0; p = p[entryBytes:] {
-		idx := le.Uint32(p)
-		if idx >= dim {
-			return nil, fmt.Errorf("%w: weight index %d >= dim %d", ErrCorrupt, idx, dim)
-		}
-		m.W[idx] = math.Float64frombits(le.Uint64(p[4:]))
-	}
-	return m, nil
-}
-
 // CalibratedModel is one tag's entry in a published model set: a linear
-// one-vs-all model together with its Platt calibration and cross-validated
-// accuracy. This is the unit realnet peers broadcast and gossip.
+// one-vs-all model in its sparse published form, together with its Platt
+// calibration and cross-validated accuracy. This is the unit realnet peers
+// gossip.
 type CalibratedModel struct {
-	Model    *svm.LinearModel
+	Model    *svm.SparseModel
 	Platt    svm.PlattParams
 	Accuracy float64
 }
 
+// ModelSetSize is the exact length of set's encoding.
+func ModelSetSize(set map[string]CalibratedModel) int {
+	n := 2
+	for tag, cm := range set {
+		n += 2 + len(tag) + modelHeaderBytes + entryBytes*len(cm.Model.Index) + calibrationBytes
+	}
+	return n
+}
+
 // AppendModelSet appends the encoding of a per-tag calibrated model bank
 // in sorted tag order, so identical sets always serialize to identical
-// bytes.
+// bytes. Each record is
+// [tag string][bias float64][dim uint32][nnz uint32][nnz × entry][Platt A][Platt B][accuracy],
+// written straight from the model's index/value pairs into b grown once
+// to the exact size.
 func AppendModelSet(b []byte, set map[string]CalibratedModel) ([]byte, error) {
 	tags := make([]string, 0, len(set))
 	for tag := range set {
 		tags = append(tags, tag)
 	}
 	sort.Strings(tags)
+	b = slices.Grow(b, ModelSetSize(set))
 	b = le.AppendUint16(b, uint16(len(tags)))
 	for _, tag := range tags {
 		var err error
@@ -294,7 +253,16 @@ func AppendModelSet(b []byte, set map[string]CalibratedModel) ([]byte, error) {
 			return nil, err
 		}
 		cm := set[tag]
-		b = appendLinearModel(b, cm.Model)
+		m := cm.Model
+		if len(m.Index) != len(m.Value) {
+			return nil, fmt.Errorf("wire: tag %q has %d indices for %d values", tag, len(m.Index), len(m.Value))
+		}
+		b = le.AppendUint64(b, math.Float64bits(m.Bias))
+		b = le.AppendUint32(b, uint32(m.Dim))
+		b = le.AppendUint32(b, uint32(len(m.Index)))
+		for k, idx := range m.Index {
+			b = appendEntry(b, uint32(idx), m.Value[k])
+		}
 		for _, v := range [3]float64{cm.Platt.A, cm.Platt.B, cm.Accuracy} {
 			b = le.AppendUint64(b, math.Float64bits(v))
 		}
@@ -313,43 +281,120 @@ func WriteModelSet(w io.Writer, set map[string]CalibratedModel) error {
 }
 
 // ReadModelSet decodes a bank written by WriteModelSet from everything r
-// holds.
+// holds; bytes past the set are corrupt input.
 func ReadModelSet(r io.Reader) (map[string]CalibratedModel, error) {
 	c, err := readAll(r)
 	if err != nil {
 		return nil, err
 	}
-	return DecodeModelSet(c)
+	set, err := DecodeModelSet(c)
+	if err != nil {
+		return nil, err
+	}
+	if rest := len(c.Rest()); rest != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after the model set", ErrCorrupt, rest)
+	}
+	return set, nil
+}
+
+// record is one set member as laid out on the wire; tag and entries alias
+// the payload.
+type record struct {
+	tag      []byte
+	bias     float64
+	dim      uint32
+	entries  []byte // nnz × (index uint32, value float64)
+	platt    svm.PlattParams
+	accuracy float64
+}
+
+// nextRecord reads one set member whose entries may draw at most budget
+// from the set's entry budget. The budget and the caps are checked on the
+// header, before the entries are taken, so no claim buys anything.
+func nextRecord(c *Cursor, budget int) (record, error) {
+	r := record{tag: c.Take(int(c.U16())), bias: c.F64(), dim: c.U32()}
+	nnz := c.U32()
+	if c.Err() != nil {
+		return r, fmt.Errorf("model header: %w", c.Err())
+	}
+	if r.dim > maxModelDim || nnz > r.dim {
+		return r, fmt.Errorf("%w: tag %q: dim=%d nnz=%d (max dim %d)", ErrCorrupt, r.tag, r.dim, nnz, maxModelDim)
+	}
+	if int64(nnz) > int64(budget) {
+		return r, fmt.Errorf("%w: model set exceeds %d entries", ErrCorrupt, maxModelSetEntries)
+	}
+	r.entries = c.Take(entryBytes * int(nnz))
+	r.platt = svm.PlattParams{A: c.F64(), B: c.F64()}
+	r.accuracy = c.F64()
+	if c.Err() != nil {
+		return r, fmt.Errorf("tag %q: %w", r.tag, c.Err())
+	}
+	return r, nil
+}
+
+// checkEntries refuses a record whose entries are not canonical: indices
+// strictly ascending and below dim (a duplicate would count twice in a
+// fused matrix), and no explicit ±0 value (the encoder never writes one).
+func checkEntries(r record) error {
+	prev := int64(-1)
+	for p := r.entries; len(p) > 0; p = p[entryBytes:] {
+		idx := int64(le.Uint32(p))
+		if idx <= prev || idx >= int64(r.dim) {
+			return fmt.Errorf("%w: tag %q: index %d after %d (dim %d)", ErrCorrupt, r.tag, idx, prev, r.dim)
+		}
+		if math.Float64frombits(le.Uint64(p[4:])) == 0 {
+			return fmt.Errorf("%w: tag %q: explicit zero at index %d", ErrCorrupt, r.tag, idx)
+		}
+		prev = idx
+	}
+	return nil
 }
 
 // DecodeModelSet decodes a bank encoded by AppendModelSet, leaving c just
-// past it.
+// past it. Only the canonical encoding is accepted: tags strictly
+// ascending, and every model's entries as checkEntries requires, so an
+// accepted set re-encodes to exactly the bytes it came from. A header
+// pass over a copy of the cursor checks every record first; then every
+// tag's indices and values are decoded into one slab of exactly the
+// entries the payload holds, sub-sliced per tag with capped capacity.
 func DecodeModelSet(c *Cursor) (map[string]CalibratedModel, error) {
 	n := int(c.U16())
 	if c.Err() != nil {
 		return nil, fmt.Errorf("model set size: %w", c.Err())
 	}
-	set := make(map[string]CalibratedModel, min(n, len(c.Rest())/minModelRecord))
-	// Shrinking weight budget across the whole set: every model's claimed
-	// dense dimension draws from it, so a set of lying prefixes is refused
-	// long before the tag count times the per-model cap could multiply
-	// into gigabytes.
-	budget := maxModelSetWeights
+	scan := *c
+	budget := maxModelSetEntries
+	var prev []byte
 	for i := 0; i < n; i++ {
-		tag := c.Str()
-		if budget <= 0 {
-			return nil, fmt.Errorf("%w: model set exceeds %d total weights", ErrCorrupt, maxModelSetWeights)
-		}
-		m, err := decodeLinearModel(c, budget)
+		r, err := nextRecord(&scan, budget)
 		if err != nil {
-			return nil, fmt.Errorf("tag %q: %w", tag, err)
+			return nil, err
 		}
-		budget -= len(m.W)
-		cm := CalibratedModel{Model: m, Platt: svm.PlattParams{A: c.F64(), B: c.F64()}, Accuracy: c.F64()}
-		if c.Err() != nil {
-			return nil, fmt.Errorf("tag %q calibration: %w", tag, c.Err())
+		if i > 0 && bytes.Compare(r.tag, prev) <= 0 {
+			return nil, fmt.Errorf("%w: tag %q after %q", ErrCorrupt, r.tag, prev)
 		}
-		set[tag] = cm
+		if err := checkEntries(r); err != nil {
+			return nil, err
+		}
+		prev = r.tag
+		budget -= len(r.entries) / entryBytes
+	}
+	total := maxModelSetEntries - budget
+	index, value := make([]int32, total), make([]float64, total)
+	models := make([]svm.SparseModel, n)
+	set := make(map[string]CalibratedModel, n)
+	for i := range models {
+		r, _ := nextRecord(c, maxModelSetEntries) // the header pass accepted it
+		nnz := len(r.entries) / entryBytes
+		m := &models[i]
+		*m = svm.SparseModel{Index: index[:nnz:nnz], Value: value[:nnz:nnz], Dim: int(r.dim), Bias: r.bias}
+		index, value = index[nnz:], value[nnz:]
+		for k := range nnz {
+			e := r.entries[entryBytes*k:]
+			m.Index[k] = int32(le.Uint32(e))
+			m.Value[k] = math.Float64frombits(le.Uint64(e[4:]))
+		}
+		set[string(r.tag)] = CalibratedModel{Model: m, Platt: r.platt, Accuracy: r.accuracy}
 	}
 	return set, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -75,56 +76,54 @@ func TestVectorCorruptLength(t *testing.T) {
 	}
 }
 
-func TestLinearModelRoundTrip(t *testing.T) {
-	m := &svm.LinearModel{W: []float64{0, 1.5, 0, -2.25, 0, 0, 3}, Bias: -0.5}
-	var buf bytes.Buffer
-	if err := WriteLinearModel(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadLinearModel(&buf)
+// oneTagSet encodes m as the only model of a set, under tag "t".
+func oneTagSet(t *testing.T, m *svm.SparseModel) []byte {
+	t.Helper()
+	b, err := AppendModelSet(nil, map[string]CalibratedModel{"t": {Model: m, Platt: svm.PlattParams{A: -1, B: 0.5}, Accuracy: 0.8}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Bias != m.Bias || len(got.W) != len(m.W) {
-		t.Fatalf("shape mismatch: %+v", got)
+	return b
+}
+
+func TestLinearModelRoundTrip(t *testing.T) {
+	m := (&svm.LinearModel{W: []float64{0, 1.5, 0, -2.25, 0, 0, 3}, Bias: -0.5}).Sparse()
+	set, err := ReadModelSet(bytes.NewReader(oneTagSet(t, m)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range m.W {
-		if got.W[i] != m.W[i] {
-			t.Errorf("W[%d] = %v, want %v", i, got.W[i], m.W[i])
-		}
+	if got := set["t"].Model; len(set) != 1 || !reflect.DeepEqual(got, m) {
+		t.Fatalf("round trip = %+v, want %+v", got, m)
 	}
 }
 
 func TestLinearModelEncodingNearWireSize(t *testing.T) {
-	// WireSize approximates the encoding with a fixed 16-byte header; the
-	// real encoding uses 16 bytes of header too (bias + dim + nnz).
+	// WireSize is the model record exactly: a 16-byte header (bias, dim,
+	// nnz) and 12 bytes per non-zero weight. The set adds its count, the
+	// tag and the calibration around it.
 	m := &svm.LinearModel{W: make([]float64, 1000), Bias: 1}
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 200; i++ {
 		m.W[rng.Intn(1000)] = rng.NormFloat64()
 	}
-	var buf bytes.Buffer
-	if err := WriteLinearModel(&buf, m); err != nil {
-		t.Fatal(err)
+	s := m.Sparse()
+	if s.WireSize() != m.WireSize() {
+		t.Fatalf("sparse WireSize %d, dense %d", s.WireSize(), m.WireSize())
 	}
-	est := m.WireSize()
-	if diff := buf.Len() - est; diff < -16 || diff > 16 {
-		t.Errorf("encoded %dB vs estimate %dB (diff %d)", buf.Len(), est, diff)
+	if got, want := len(oneTagSet(t, s)), 2+2+len("t")+s.WireSize()+24; got != want {
+		t.Errorf("encoded %dB, want %dB from WireSize", got, want)
 	}
 }
 
 func TestLinearModelCorrupt(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteLinearModel(&buf, &svm.LinearModel{W: []float64{1}, Bias: 0}); err != nil {
-		t.Fatal(err)
-	}
-	data := append([]byte(nil), buf.Bytes()...)
-	// dim field at offset 8: make it absurd.
-	data[8], data[9], data[10], data[11] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, err := ReadLinearModel(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
+	data := oneTagSet(t, &svm.SparseModel{Index: []int32{0}, Value: []float64{1}, Dim: 1})
+	// dim field after the count (2), the tag (2+1) and the bias (8): make
+	// it absurd.
+	data[13], data[14], data[15], data[16] = 0xFF, 0xFF, 0xFF, 0xFF
+	if _, err := ReadModelSet(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("absurd dim accepted: %v", err)
 	}
-	if _, err := ReadLinearModel(bytes.NewReader(nil)); !errors.Is(err, ErrCorrupt) {
+	if _, err := ReadModelSet(bytes.NewReader(nil)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("empty input: %v", err)
 	}
 }
@@ -169,7 +168,7 @@ func TestModelSetRoundTrip(t *testing.T) {
 			w[rng.Intn(len(w))] = rng.NormFloat64()
 		}
 		set[tag] = CalibratedModel{
-			Model:    &svm.LinearModel{W: w, Bias: rng.NormFloat64()},
+			Model:    (&svm.LinearModel{W: w, Bias: rng.NormFloat64()}).Sparse(),
 			Platt:    svm.PlattParams{A: rng.NormFloat64(), B: rng.NormFloat64()},
 			Accuracy: rng.Float64(),
 		}
@@ -191,16 +190,11 @@ func TestModelSetRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("tag %q missing after round trip", tag)
 		}
-		if g.Platt != want.Platt || g.Accuracy != want.Accuracy || g.Model.Bias != want.Model.Bias {
+		if g.Platt != want.Platt || g.Accuracy != want.Accuracy {
 			t.Errorf("tag %q: calibration mismatch", tag)
 		}
-		if len(g.Model.W) != len(want.Model.W) {
-			t.Fatalf("tag %q: dim %d, want %d", tag, len(g.Model.W), len(want.Model.W))
-		}
-		for i, w := range want.Model.W {
-			if g.Model.W[i] != w {
-				t.Fatalf("tag %q: weight %d mismatch", tag, i)
-			}
+		if !reflect.DeepEqual(g.Model, want.Model) {
+			t.Fatalf("tag %q: model %+v, want %+v", tag, g.Model, want.Model)
 		}
 	}
 	// Determinism: identical sets serialize to identical bytes (tags are
